@@ -44,19 +44,22 @@ class Material:
         return cls(rho, lam, mu)
 
 
-def local_mass(ops: ElementOperators, material: Material) -> np.ndarray:
-    """Local vector mass matrix: consistency Pi0^T Q Pi0 plus the dofi-dofj
-    stabilization rho * h_P^2 (I - Pi0)^T (I - Pi0), block diagonal per component."""
+def local_scalar_mass(ops: ElementOperators, material: Material) -> np.ndarray:
+    """Local scalar mass matrix: consistency Pi0^T Q Pi0 plus the dofi-dofj
+    stabilization rho * h_P^2 (I - Pi0)^T (I - Pi0).  Both displacement
+    components share it."""
     rho = material.rho
     consistency = rho * (ops.pi_zero.T @ ops.grams.mass @ ops.pi_zero)
     s = np.eye(ops.layout.n_total) - ops.dof_projector_l2()
     scalar = consistency + rho * ops.geometry.diameter ** 2 * (s.T @ s)
-    scalar = 0.5 * (scalar + scalar.T)
-    n = ops.layout.n_total
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = scalar
-    out[n:, n:] = scalar
-    return out
+    return 0.5 * (scalar + scalar.T)
+
+
+def local_mass(ops: ElementOperators, material: Material) -> np.ndarray:
+    """Local vector mass matrix: the scalar mass on each component block."""
+    scalar = local_scalar_mass(ops, material)
+    zero = np.zeros_like(scalar)
+    return np.block([[scalar, zero], [zero, scalar]])
 
 
 def local_stiffness(ops: ElementOperators, material: Material, *,
@@ -93,18 +96,23 @@ def local_stiffness(ops: ElementOperators, material: Material, *,
 
 class GlobalSystem:
     """Assembled sparse mass/stiffness over the free (non-Dirichlet) vector DOFs,
-    with the per-element operators retained for loads, interpolation and errors."""
+    with the per-element operators retained for loads, interpolation and errors.
+
+    Free vector DOFs are ordered [x-free | y-free], and both components keep the
+    same scalar DOFs, so the vector mass is ``blockdiag(scalar_mass,
+    scalar_mass)``; ``mass`` stores only those two blocks."""
 
     def __init__(self, mesh: PolygonalMesh, degree: int, material: Material,
                  dofmap: DofMap, ops: list[ElementOperators],
-                 mass: sp.csr_matrix, stiffness: sp.csr_matrix,
+                 scalar_mass: sp.csr_matrix, stiffness: sp.csr_matrix,
                  free: np.ndarray):
         self.mesh = mesh
         self.degree = degree
         self.material = material
         self.dofmap = dofmap
         self.ops = ops
-        self.mass = mass
+        self.scalar_mass = scalar_mass
+        self.mass = sp.block_diag((scalar_mass, scalar_mass), format="csr")
         self.stiffness = stiffness
         self.free = free
         self.full_to_free = np.full(dofmap.n_vector, -1, dtype=int)
@@ -133,21 +141,27 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
     if ops is None:
         ops = build_element_operators(mesh, degree, basis_kind=basis_kind,
                                       quad_boost=quad_boost)
-    rows, cols, m_vals, k_vals = [], [], [], []
+    rows, cols, k_vals, s_rows, s_cols, m_vals = [], [], [], [], [], []
     for ci in range(mesh.n_cells):
+        sdofs = dofmap.cell_scalar_dofs(ci)
         gdofs = dofmap.cell_vector_dofs(ci)
-        m_loc = local_mass(ops[ci], material)
+        m_loc = local_scalar_mass(ops[ci], material)
         k_loc = local_stiffness(ops[ci], material, stabilization=stabilization)
         grid = np.meshgrid(gdofs, gdofs, indexing="ij")
         rows.append(grid[0].ravel())
         cols.append(grid[1].ravel())
-        m_vals.append(m_loc.ravel())
         k_vals.append(k_loc.ravel())
-    n = dofmap.n_vector
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    mass = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)), shape=(n, n)).tocsr()
-    stiff = sp.coo_matrix((np.concatenate(k_vals), (rows, cols)), shape=(n, n)).tocsr()
+        grid = np.meshgrid(sdofs, sdofs, indexing="ij")
+        s_rows.append(grid[0].ravel())
+        s_cols.append(grid[1].ravel())
+        m_vals.append(m_loc.ravel())
+    n, n_s = dofmap.n_vector, dofmap.n_scalar
+    stiff = sp.coo_matrix((np.concatenate(k_vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n)).tocsr()
+    mass = sp.coo_matrix((np.concatenate(m_vals),
+                          (np.concatenate(s_rows), np.concatenate(s_cols))),
+                         shape=(n_s, n_s)).tocsr()
 
     if eliminate_dirichlet:
         fixed_scalar = dofmap.dirichlet_scalar_dofs()
@@ -155,11 +169,11 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
             raise ValueError(
                 "well-posedness requires a nonempty Dirichlet boundary; "
                 "no edges are tagged dirichlet")
-        fixed = np.concatenate([fixed_scalar, fixed_scalar + dofmap.n_scalar])
-        keep = np.ones(n, dtype=bool)
-        keep[fixed] = False
-        free = np.where(keep)[0]
-        mass = mass[free][:, free].tocsr()
+        keep = np.ones(n_s, dtype=bool)
+        keep[fixed_scalar] = False
+        free_scalar = np.where(keep)[0]
+        free = np.concatenate([free_scalar, free_scalar + n_s])
+        mass = mass[free_scalar][:, free_scalar].tocsr()
         stiff = stiff[free][:, free].tocsr()
     else:
         free = np.arange(n)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dispersion as disp
 from . import harness, timestep
-from .assembly import Material, assemble_global, interpolate
+from .assembly import Material, assemble_global, assemble_load, interpolate
 from .mesh import FAMILIES, PERIODIC_GRIDS, MeshError, read_mesh
 
 
@@ -219,6 +219,9 @@ def _cmd_anisotropy(args, out):
 
 
 def _cmd_solve(args, out):
+    _positive("dt", args.dt)
+    if args.T < 0:
+        raise ConfigError(f"--T must be >= 0 (got {args.T})")
     mesh_path = Path(args.mesh)
     if not mesh_path.exists():
         print(f"error: mesh file not found: {mesh_path}", file=sys.stderr)
@@ -227,7 +230,8 @@ def _cmd_solve(args, out):
     material = Material(args.rho, args.lam, args.mu)
     problem = harness.standing_wave_benchmark(material)
     system = assemble_global(mesh, args.k, material)
-    _positive("dt", args.dt)
+    solver = timestep.make_solver(system)
+    est = timestep.check_cfl(system, args.dt, solver)
     n_steps = int(round(args.T / args.dt))
     u0 = system.restrict(interpolate(system, lambda p: problem.displacement(p, 0.0)))
     v0 = system.restrict(interpolate(system, lambda p: problem.velocity(p, 0.0)))
@@ -235,7 +239,6 @@ def _cmd_solve(args, out):
         state = timestep.SimulationState(u0.copy(), u0.copy(), 0, args.dt)
         timestep.save_checkpoint(state, out / "final_state.ckpt")
         return 0
-    from .assembly import assemble_load
     f_spatial = assemble_load(system, lambda p, t: problem.spatial_load(p))
     load = lambda n: problem.time_factor(n * args.dt) * f_spatial
 
@@ -251,7 +254,8 @@ def _cmd_solve(args, out):
             print(f"step {state.step_index}: E = {e:.10e}")
 
     state, _ = timestep.simulate(system, u0, v0, args.dt, n_steps, load,
-                                 on_step=on_step)
+                                 solver=solver, on_step=on_step,
+                                 suggested_dt=est.dt)
     timestep.save_checkpoint(state, out / "final_state.ckpt")
     if log:
         with open(out / "energy.csv", "w", newline="", encoding="ascii") as f:

@@ -163,7 +163,7 @@ class ConvergenceStudy:
 
 
 def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
-                    final_time: float, *, check_cfl: bool = True) -> np.ndarray:
+                    final_time: float) -> np.ndarray:
     """Integrate the benchmark to final_time and return the free displacement DOFs.
 
     Refuses to run when dt exceeds the CFL estimate, reporting the admissible step.
@@ -172,19 +172,13 @@ def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
     if abs(n_steps * dt - final_time) > 1e-10 * final_time:
         raise ValueError("final_time must be an integer multiple of dt")
     solver = ts.make_solver(system)
-    if check_cfl:
-        # a 0.1% eigenvalue estimate is plenty for a go/no-go check
-        est = ts.cfl_timestep(system, safety=1.0, tol=1e-3, max_iter=300,
-                              solver=solver)
-        if dt > 1.02 * est.dt:
-            raise ValueError(
-                f"dt = {dt:g} violates the CFL limit; admissible dt <= {est.dt:.6e}")
+    est = ts.check_cfl(system, dt, solver)
     u0 = system.restrict(interpolate(system, lambda p: problem.displacement(p, 0.0)))
     v0 = system.restrict(interpolate(system, lambda p: problem.velocity(p, 0.0)))
     f_spatial = assemble_load(system, lambda p, t: problem.spatial_load(p), t=0.0)
     load = lambda n: problem.time_factor(n * dt) * f_spatial
     state, _ = ts.simulate(system, u0, v0, dt, n_steps, load, solver=solver,
-                           suggested_dt=est.dt if check_cfl else None)
+                           suggested_dt=est.dt)
     return state.u_curr
 
 

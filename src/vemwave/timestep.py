@@ -6,12 +6,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem, Material
 
 _CKPT_MAGIC = b"VEMCKPT1"
+_CKPT_HEADER = struct.Struct("<qdq")  # step index, dt, DOF count
 
 
 class InstabilityError(RuntimeError):
@@ -36,28 +36,20 @@ class SimulationState:
         return self.step_index * self.dt
 
 
-def make_solver(system: GlobalSystem, method: str = "direct"):
-    """Reusable solver for the (constant) mass matrix.
+def make_solver(system: GlobalSystem):
+    """Reusable solver for the constant mass matrix M = blockdiag(Ms, Ms).
 
-    'direct' factorizes once with a sparse LU (the mass matrix is SPD, so this is
-    safe); 'cg' uses conjugate gradients with a diagonal preconditioner.
-    """
-    m = system.mass.tocsc()
-    if method == "direct":
-        lu = spla.splu(m)
-        return lambda b: lu.solve(b)
-    if method == "cg":
-        dinv = 1.0 / m.diagonal()
-        precond = spla.LinearOperator(m.shape, matvec=lambda x: dinv * x)
-
-        def solve(b):
-            x, info = spla.cg(m, b, rtol=1e-12, atol=0.0, M=precond, maxiter=10_000)
-            if info != 0:
-                raise RuntimeError(f"CG failed to converge (info={info})")
-            return x
-
-        return solve
-    raise ValueError("method must be 'direct' or 'cg'")
+    Only the scalar mass ``Ms = system.scalar_mass`` is factored, once, by
+    SuperLU.  A solve reads ``b = [x-free | y-free]`` as the two columns of one
+    right-hand side and returns the same flat layout.  Ms is symmetric positive
+    definite, so elimination without pivoting is stable: every pivot is taken
+    from the diagonal (``diag_pivot_thresh=0``), in a minimum-degree ordering
+    of the symmetric pattern of Ms."""
+    ms = system.scalar_mass.tocsc()
+    lu = spla.splu(ms, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    n = ms.shape[0]
+    return lambda b: lu.solve(b.reshape(-1, n).T).T.ravel()
 
 
 def initial_step(system: GlobalSystem, u0: np.ndarray, v0: np.ndarray,
@@ -122,6 +114,17 @@ def cfl_timestep(system: GlobalSystem, safety: float = 0.9,
     return CflEstimate(float(dt), lam, courant)
 
 
+def check_cfl(system: GlobalSystem, dt: float, solver) -> CflEstimate:
+    """Go/no-go CFL check: refuse (ValueError) a dt more than 2 % above the
+    estimated stability limit, and return the estimate otherwise."""
+    # a 0.1% eigenvalue estimate is plenty for a go/no-go check
+    est = cfl_timestep(system, safety=1.0, tol=1e-3, max_iter=300, solver=solver)
+    if dt > 1.02 * est.dt:
+        raise ValueError(
+            f"dt = {dt:g} violates the CFL limit; admissible dt <= {est.dt:.6e}")
+    return est
+
+
 def discrete_energy(state: SimulationState, system: GlobalSystem) -> float:
     """Leap-frog conserved quadratic form at the half step:
     E = 1/2 v^T M v + 1/2 u^n^T K u^{n-1} with v = (u^n - u^{n-1}) / dt."""
@@ -135,20 +138,28 @@ def save_checkpoint(state: SimulationState, path) -> None:
     little-endian float64."""
     with open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<qdq", state.step_index, state.dt, len(state.u_curr)))
+        f.write(_CKPT_HEADER.pack(state.step_index, state.dt, len(state.u_curr)))
         f.write(np.asarray(state.u_prev, dtype="<f8").tobytes())
         f.write(np.asarray(state.u_curr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> SimulationState:
+    """Read a checkpoint written by save_checkpoint.  A file that is not one, is
+    truncated or carries trailing bytes raises ValueError naming the file."""
     with open(path, "rb") as f:
-        magic = f.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        step_index, dt, n = struct.unpack("<qdq", f.read(24))
-        u_prev = np.frombuffer(f.read(8 * n), dtype="<f8").copy()
-        u_curr = np.frombuffer(f.read(8 * n), dtype="<f8").copy()
-    return SimulationState(u_prev, u_curr, step_index, dt)
+        data = f.read()
+    if not data.startswith(_CKPT_MAGIC):
+        raise ValueError(f"{path}: not a checkpoint file")
+    head = len(_CKPT_MAGIC) + _CKPT_HEADER.size
+    if len(data) < head:
+        raise ValueError(f"{path}: truncated checkpoint header "
+                         f"({len(data)} of {head} bytes)")
+    step_index, dt, n = _CKPT_HEADER.unpack_from(data, len(_CKPT_MAGIC))
+    if n < 0 or len(data) != head + 16 * n:
+        raise ValueError(f"{path}: a checkpoint of {n} DOFs has {head + 16 * n} "
+                         f"bytes, the file has {len(data)}")
+    u = np.frombuffer(data, dtype="<f8", offset=head).reshape(2, n)
+    return SimulationState(u[0].copy(), u[1].copy(), step_index, dt)
 
 
 def simulate(system: GlobalSystem, u0: np.ndarray, v0: np.ndarray, dt: float,

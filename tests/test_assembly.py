@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vemwave.assembly import (
@@ -311,6 +312,25 @@ class TestGlobalAssembly:
         b = assemble_global(mesh, 2, material)
         assert (a.mass != b.mass).nnz == 0
         assert (a.stiffness != b.stiffness).nnz == 0
+
+    @pytest.mark.parametrize("eliminate", [True, False])
+    def test_mass_is_two_scalar_blocks(self, material, eliminate):
+        mesh = generate_family("random_quad", 0, seed=1)
+        system = assemble_global(mesh, 2, material, eliminate_dirichlet=eliminate)
+        mass, scalar = system.mass, system.scalar_mass
+        n = scalar.shape[0]
+        assert mass.shape == (2 * n, 2 * n) == (system.n_free, system.n_free)
+        assert np.count_nonzero(mass.data) == mass.nnz  # no stored zeros
+        assert (mass != sp.block_diag((scalar, scalar))).nnz == 0
+        assert mass[:n, n:].nnz == 0 and mass[n:, :n].nnz == 0
+        # reference: assemble the full local vector mass matrices
+        dofmap = system.dofmap
+        ref = np.zeros((dofmap.n_vector, dofmap.n_vector))
+        for ci, ops in enumerate(system.ops):
+            gdofs = dofmap.cell_vector_dofs(ci)
+            ref[np.ix_(gdofs, gdofs)] += local_mass(ops, material)
+        ref = ref[np.ix_(system.free, system.free)]
+        assert np.abs(mass.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestLoads:

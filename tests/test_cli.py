@@ -82,6 +82,28 @@ class TestSolveCommand:
         assert code == 1
         assert "nope.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "-1e-3"),
+                                             ("--T", "-0.1")])
+    def test_bad_dt_or_T_exit_2_before_reading_mesh(self, tmp_path, capsys,
+                                                    flag, value):
+        path = tmp_path / "mesh.txt"
+        path.write_text("not a mesh\n")
+        code = main(["solve", "--mesh", str(path), f"{flag}={value}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_super_cfl_dt_exit_1(self, tmp_path, capsys):
+        mesh = generate_family("random_quad", 0, seed=0)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        # the CFL limit of this mesh at k = 1 is dt ~ 0.12
+        code = main(["solve", "--mesh", str(path), "--T", "1", "--dt", "0.25",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "CFL" in capsys.readouterr().err
+        assert not (tmp_path / "final_state.ckpt").exists()
+
     def test_zero_steps_writes_initial_state(self, tmp_path):
         mesh = generate_family("random_quad", 0, seed=0)
         path = tmp_path / "mesh.txt"

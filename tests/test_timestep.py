@@ -1,17 +1,22 @@
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vemwave.assembly import Material, assemble_global
-from vemwave.mesh import PolygonalMesh
+from vemwave.mesh import PolygonalMesh, reference_periodic_cell
 from vemwave import timestep as ts
 
 
 def oscillator(omega: float):
     """1-DOF system M = 1, K = omega^2 quacking like a GlobalSystem."""
-    return SimpleNamespace(mass=sp.csr_matrix(np.array([[1.0]])),
+    mass = sp.csr_matrix(np.array([[1.0]]))
+    return SimpleNamespace(mass=mass, scalar_mass=mass,
                            stiffness=sp.csr_matrix(np.array([[omega ** 2]])),
                            n_free=1)
 
@@ -118,6 +123,7 @@ class TestOscillator:
 class TestCfl:
     def test_diagonal_system(self):
         system = SimpleNamespace(mass=sp.identity(2, format="csr"),
+                                 scalar_mass=sp.identity(1, format="csr"),
                                  stiffness=sp.csr_matrix(np.diag([1.0, 4.0])),
                                  n_free=2)
         est = ts.cfl_timestep(system, safety=0.5)
@@ -181,13 +187,25 @@ class TestConservation:
         assert np.abs(back.u_curr - u0).max() <= 1e-10 * scale
         assert np.abs(back.u_prev - u1).max() <= 1e-10 * scale
 
-    def test_cg_solver_agrees(self):
-        system = quad_grid_system(2, 2)
+
+class TestMassSolver:
+    @pytest.mark.parametrize("constrained", [True, False],
+                             ids=["dirichlet", "periodic"])
+    def test_matches_dense_solve(self, constrained):
+        if constrained:
+            system = quad_grid_system(3, 2)
+        else:
+            system = assemble_global(reference_periodic_cell("c3", 1.0), 2,
+                                     Material(1.0, 1.0, 1.0),
+                                     eliminate_dirichlet=False)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(system.n_free)
-        x_direct = ts.make_solver(system, "direct")(b)
-        x_cg = ts.make_solver(system, "cg")(b)
-        assert np.abs(x_direct - x_cg).max() < 1e-9 * np.abs(x_direct).max()
+        b_copy = b.copy()
+        x = ts.make_solver(system)(b)
+        x_dense = np.linalg.solve(system.mass.toarray(), b)
+        assert x.shape == b.shape
+        assert np.array_equal(b, b_copy)
+        assert np.abs(x - x_dense).max() <= 1e-12 * np.abs(x_dense).max()
 
 
 class TestCheckpoint:
@@ -207,3 +225,27 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\0" * 32)
         with pytest.raises(ValueError, match="not a checkpoint"):
             ts.load_checkpoint(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(u=st.lists(st.floats(allow_nan=False), min_size=0, max_size=10),
+           step_index=st.integers(0, 2 ** 62), dt=st.floats(1e-9, 1.0),
+           tail=st.binary(min_size=1, max_size=24))
+    def test_truncated_or_padded_file_rejected(self, u, step_index, dt, tail):
+        n = len(u) // 2
+        state = ts.SimulationState(np.array(u[:n]), np.array(u[n:2 * n]),
+                                   step_index, dt)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.ckpt"
+            ts.save_checkpoint(state, path)
+            data = path.read_bytes()
+            back = ts.load_checkpoint(path)
+            assert (back.step_index, back.dt) == (step_index, dt)
+            assert back.u_prev.tobytes() == state.u_prev.tobytes()
+            assert back.u_curr.tobytes() == state.u_curr.tobytes()
+            for cut in range(len(data)):
+                path.write_bytes(data[:cut])
+                with pytest.raises(ValueError, match="state.ckpt"):
+                    ts.load_checkpoint(path)
+            path.write_bytes(data + tail)
+            with pytest.raises(ValueError, match="state.ckpt"):
+                ts.load_checkpoint(path)
