@@ -49,8 +49,6 @@ def build_parser():
         prog="vemwave",
         description="Virtual element elastodynamics on polygonal meshes")
     parser.add_argument("--config", help="key = value file; CLI flags take precedence")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; only 1 (sequential) is implemented")
     subparsers = {}
     raw = parser.add_subparsers(dest="command", required=True)
 
@@ -166,19 +164,15 @@ def _cmd_prefine(args, out):
 
 
 def _cmd_dispersion(args, out):
-    if args.delta <= 0:
-        raise ConfigError(f"--delta must be > 0 (got {args.delta})")
-    if args.grid not in PERIODIC_GRIDS:
-        raise ConfigError(f"--grid must be one of {PERIODIC_GRIDS}")
-    if args.k < 1:
-        raise ConfigError("--k must be >= 1")
-    if args.r <= np.sqrt(2.0):
-        raise ConfigError("--r must exceed sqrt(2)")
     theta = args.theta % (2 * np.pi)
-    cfg = disp.DispersionConfig(args.grid, args.k, args.delta, theta, args.r,
-                                q_rel=args.q_rel if args.q_rel else 1.0,
-                                p_convention=args.p_convention)
-    if args.q_rel:
+    fully_discrete = args.q_rel is not None
+    try:
+        cfg = disp.DispersionConfig(args.grid, args.k, args.delta, theta, args.r,
+                                    q_rel=args.q_rel if fully_discrete else 1.0,
+                                    p_convention=args.p_convention)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if fully_discrete:
         result = disp.fullydiscrete_dispersion(cfg)
     else:
         result = disp.semidiscrete_dispersion(cfg)
@@ -222,6 +216,10 @@ def _cmd_solve(args, out):
     _positive("dt", args.dt)
     if args.T < 0:
         raise ConfigError(f"--T must be >= 0 (got {args.T})")
+    try:
+        n_steps = timestep.step_count(args.T, args.dt)
+    except ValueError as exc:
+        raise ConfigError(f"--T: {exc}") from None
     mesh_path = Path(args.mesh)
     if not mesh_path.exists():
         print(f"error: mesh file not found: {mesh_path}", file=sys.stderr)
@@ -232,7 +230,6 @@ def _cmd_solve(args, out):
     system = assemble_global(mesh, args.k, material)
     solver = timestep.make_solver(system)
     est = timestep.check_cfl(system, args.dt, solver)
-    n_steps = int(round(args.T / args.dt))
     u0 = system.restrict(interpolate(system, lambda p: problem.displacement(p, 0.0)))
     v0 = system.restrict(interpolate(system, lambda p: problem.velocity(p, 0.0)))
     if n_steps == 0:
@@ -297,8 +294,6 @@ def main(argv=None) -> int:
                     cast = type(default) if default is not None else str
                     setattr(args, key, cast(val))
     try:
-        if args.threads != 1:
-            raise ConfigError("--threads: parallel execution is not implemented; use 1")
         out = Path(args.out) if hasattr(args, "out") else Path(".")
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out)

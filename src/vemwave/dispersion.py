@@ -4,6 +4,7 @@ dissipation check, CFL parameter, and parameter sweeps."""
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,21 +99,12 @@ class DispersionResult:
     ambiguous: bool = False
 
 
-_SYSTEM_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def reference_system(grid: str, degree: int, material: Material) -> GlobalSystem:
     """Unconstrained (no Dirichlet elimination) system on the periodic cell.
     Cached per (grid, degree, material) since sweeps reuse the same matrices."""
-    key = (grid, degree, material.rho, material.lam, material.mu)
-    system = _SYSTEM_CACHE.get(key)
-    if system is None:
-        mesh = reference_periodic_cell(grid, 1.0)
-        system = assemble_global(mesh, degree, material, eliminate_dirichlet=False)
-        if len(_SYSTEM_CACHE) > 64:
-            _SYSTEM_CACHE.clear()
-        _SYSTEM_CACHE[key] = system
-    return system
+    mesh = reference_periodic_cell(grid, 1.0)
+    return assemble_global(mesh, degree, material, eliminate_dirichlet=False)
 
 
 def _scalar_master_slave(system: GlobalSystem):
@@ -133,29 +125,41 @@ def _scalar_master_slave(system: GlobalSystem):
 
 def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction:
     """Complex projection P with P[slave, master] = exp(i k . offset), and the
-    reduced Hermitian pencil (P^H K P, P^H M P)."""
-    dofmap = system.dofmap
+    reduced Hermitian pencil (P^H K P, P^H M P).
+
+    Each row r of P holds one entry, in column col[r], so P^H A P is a scatter
+    of the sparse entries A[r, c] exp(i k . (offset[c] - offset[r])) into
+    (col[r], col[c]): O(nnz) work with no dense product.  The phase of an entry
+    comes from the offset difference, so it is exactly 1 when both DOFs carry
+    the same offset."""
     masters, pairs = _scalar_master_slave(system)
-    master_col = {int(m): j for j, m in enumerate(masters)}
-    n_scalar = dofmap.n_scalar
-    p_scalar = np.zeros((n_scalar, len(masters)), dtype=complex)
-    for m, j in master_col.items():
-        p_scalar[m, j] = 1.0
-    kvec = np.asarray(wavevector, dtype=float)
-    for s, (m, off) in pairs.items():
+    n_scalar = system.dofmap.n_scalar
+    col = np.empty(n_scalar, dtype=int)
+    col[masters] = np.arange(len(masters))
+    off = np.zeros((n_scalar, 2))
+    for s, (m, o) in pairs.items():
         if m in pairs:
             raise ValueError(f"slave dof {s} chained to another slave {m}")
-        phase = np.exp(1j * (kvec[0] * off[0] + kvec[1] * off[1]))
-        p_scalar[s, master_col[m]] = phase
-    z = np.zeros_like(p_scalar)
-    p = np.block([[p_scalar, z], [z, p_scalar]])
-    m_full = system.mass.toarray()
-    k_full = system.stiffness.toarray()
-    m_red = p.conj().T @ m_full @ p
-    k_red = p.conj().T @ k_full @ p
-    m_red = 0.5 * (m_red + m_red.conj().T)
-    k_red = 0.5 * (k_red + k_red.conj().T)
-    return BlochReduction(p, m_red, k_red)
+        col[s] = col[m]
+        off[s] = o
+    n = 2 * len(masters)
+    col = np.concatenate([col, col + len(masters)])
+    off = np.concatenate([off, off])
+    kvec = np.asarray(wavevector, dtype=float)
+    p = np.zeros((2 * n_scalar, n), dtype=complex)
+    phase = np.exp(1j * (kvec[0] * off[:, 0] + kvec[1] * off[:, 1]))
+    p[np.arange(2 * n_scalar), col] = phase
+
+    def reduce(a) -> np.ndarray:
+        a = a.tocoo()
+        d = off[a.col] - off[a.row]
+        w = a.data * np.exp(1j * (kvec[0] * d[:, 0] + kvec[1] * d[:, 1]))
+        idx = col[a.row] * n + col[a.col]
+        red = (np.bincount(idx, w.real, n * n)
+               + 1j * np.bincount(idx, w.imag, n * n)).reshape(n, n)
+        return 0.5 * (red + red.conj().T)
+
+    return BlochReduction(p, reduce(system.mass), reduce(system.stiffness))
 
 
 def _identify_modes(eigenvalues: np.ndarray, omega_exact: float,
@@ -193,14 +197,13 @@ def _mode_pick(eigenvalues: np.ndarray, material: Material, knorm: float,
     return float(eigenvalues[i]), ambiguous
 
 
-def semidiscrete_dispersion(config: DispersionConfig, *,
-                            strict: bool = False) -> DispersionResult:
-    """Dispersion errors of the spatial discretization (exact time integration).
+def _pencil_dispersion(config: DispersionConfig, to_omega,
+                       dt: float | None = None) -> DispersionResult:
+    """The pencil path shared by the semi- and fully discrete analyses.
 
-    Solves the reduced Hermitian pencil, identifies the physical eigenvalues by
-    closeness of sqrt(Lambda) to the exact frequencies, and reports
-    e_X = c_{X,h}/c_X - 1.  Under the 'scaled' convention the P mode is taken
-    from a second pencil at the r-times-smaller compressional wavevector."""
+    Solves the reduced Hermitian pencil at the shear wavevector, and under the
+    'scaled' convention a second one at the compressional wavevector, picks the
+    physical eigenvalues and maps them to frequencies with ``to_omega``."""
     material = config.material
     system = reference_system(config.grid, config.degree, material)
     kv_s = config.wavevector()
@@ -216,19 +219,30 @@ def semidiscrete_dispersion(config: DispersionConfig, *,
         eig_p = la.eigh(red_p.stiffness, red_p.mass, eigvals_only=True)
         kn_p = float(np.hypot(*kv_p))
     lam_p, amb_p = _mode_pick(eig_p, material, kn_p, "P")
-    ambiguous = amb_s or amb_p
-    if strict and ambiguous:
-        raise ModeIdentificationError(
-            "two eigenvalues are equally close to a physical frequency")
-    omega_p = float(np.sqrt(max(lam_p, 0.0)))
-    omega_s = float(np.sqrt(max(lam_s, 0.0)))
+    omega_p = to_omega(lam_p)
+    omega_s = to_omega(lam_s)
     c_p_h = omega_p / kn_p
     c_s_h = omega_s / kn_s
     neg = eig_s[eig_s < 0]
     im_max = float(np.sqrt(-neg.min())) if len(neg) else 0.0
     return DispersionResult(config, omega_p, omega_s, c_p_h, c_s_h,
                             c_p_h / material.c_p - 1.0, c_s_h / material.c_s - 1.0,
-                            im_max, eig_s, ambiguous=ambiguous)
+                            im_max, eig_s, dt=dt, ambiguous=amb_s or amb_p)
+
+
+def semidiscrete_dispersion(config: DispersionConfig, *,
+                            strict: bool = False) -> DispersionResult:
+    """Dispersion errors of the spatial discretization (exact time integration).
+
+    Solves the reduced Hermitian pencil, identifies the physical eigenvalues by
+    closeness of sqrt(Lambda) to the exact frequencies, and reports
+    e_X = c_{X,h}/c_X - 1.  Under the 'scaled' convention the P mode is taken
+    from a second pencil at the r-times-smaller compressional wavevector."""
+    result = _pencil_dispersion(config, lambda lam: float(np.sqrt(max(lam, 0.0))))
+    if strict and result.ambiguous:
+        raise ModeIdentificationError(
+            "two eigenvalues are equally close to a physical frequency")
+    return result
 
 
 def fullydiscrete_dispersion(config: DispersionConfig, dt: float | None = None,
@@ -243,21 +257,6 @@ def fullydiscrete_dispersion(config: DispersionConfig, dt: float | None = None,
             q_cfl = cfl_parameter(config.grid, config.degree, config.delta,
                                   config.speed_ratio, rho=config.rho, c_p=config.c_p)
         dt = config.q_rel * q_cfl * config.cell_size / config.material.c_p
-    material = config.material
-    system = reference_system(config.grid, config.degree, material)
-    kv_s = config.wavevector()
-    kv_p = config.p_wavevector()
-    red = bloch_reduce(system, kv_s)
-    eig_s = la.eigh(red.stiffness, red.mass, eigvals_only=True)
-    kn_s = float(np.hypot(*kv_s))
-    lam_s, amb_s = _mode_pick(eig_s, material, kn_s, "S")
-    if np.allclose(kv_p, kv_s):
-        eig_p, kn_p = eig_s, kn_s
-    else:
-        red_p = bloch_reduce(system, kv_p)
-        eig_p = la.eigh(red_p.stiffness, red_p.mass, eigvals_only=True)
-        kn_p = float(np.hypot(*kv_p))
-    lam_p, amb_p = _mode_pick(eig_p, material, kn_p, "P")
 
     def to_omega(lam: float) -> float:
         arg = 0.5 * dt * np.sqrt(max(lam, 0.0))
@@ -266,23 +265,15 @@ def fullydiscrete_dispersion(config: DispersionConfig, dt: float | None = None,
                 f"dt = {dt:.6e} is unstable for this mode (sin^2 argument {arg:.6f} > 1)")
         return float(2.0 / dt * np.arcsin(min(arg, 1.0)))
 
-    omega_p = to_omega(lam_p)
-    omega_s = to_omega(lam_s)
-    c_p_h = omega_p / kn_p
-    c_s_h = omega_s / kn_s
-    neg = eig_s[eig_s < 0]
-    im_max = float(np.sqrt(-neg.min())) if len(neg) else 0.0
-    return DispersionResult(config, omega_p, omega_s, c_p_h, c_s_h,
-                            c_p_h / material.c_p - 1.0, c_s_h / material.c_s - 1.0,
-                            im_max, eig_s, dt=dt,
-                            ambiguous=amb_s or amb_p)
+    return _pencil_dispersion(config, to_omega, dt)
 
 
 def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
                   n_angles: int = 64, rho: float = 1.0,
                   c_p: float = float(np.sqrt(2.0))) -> float:
     """q_CFL = 2 c_P / (h sqrt(Lambda_max)) with Lambda_max the largest reduced
-    eigenvalue over a uniform sweep of propagation angles."""
+    eigenvalue over a uniform sweep of propagation angles; each pencil is asked
+    for its largest eigenvalue only."""
     material = Material.from_wave_speeds(rho, c_p, speed_ratio)
     system = reference_system(grid, degree, material)
     knorm = 2.0 * np.pi * degree * delta
@@ -290,8 +281,10 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
     for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
         kvec = knorm * np.array([np.cos(theta), np.sin(theta)])
         red = bloch_reduce(system, kvec)
-        lam = la.eigh(red.stiffness, red.mass, eigvals_only=True)
-        lam_max = max(lam_max, float(lam[-1]))
+        n = red.mass.shape[0]
+        lam = la.eigh(red.stiffness, red.mass, eigvals_only=True,
+                      subset_by_index=[n - 1, n - 1])
+        lam_max = max(lam_max, float(lam[0]))
     return 2.0 * material.c_p / np.sqrt(lam_max)
 
 

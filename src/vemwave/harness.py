@@ -168,9 +168,7 @@ def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
 
     Refuses to run when dt exceeds the CFL estimate, reporting the admissible step.
     The separable load is assembled once and rescaled each step."""
-    n_steps = int(round(final_time / dt))
-    if abs(n_steps * dt - final_time) > 1e-10 * final_time:
-        raise ValueError("final_time must be an integer multiple of dt")
+    n_steps = ts.step_count(final_time, dt)
     solver = ts.make_solver(system)
     est = ts.check_cfl(system, dt, solver)
     u0 = system.restrict(interpolate(system, lambda p: problem.displacement(p, 0.0)))

@@ -125,6 +125,16 @@ def check_cfl(system: GlobalSystem, dt: float, solver) -> CflEstimate:
     return est
 
 
+def step_count(final_time: float, dt: float) -> int:
+    """Number of steps of size dt that reach final_time; ValueError unless
+    final_time is an integer multiple of dt (to 1e-10 relative)."""
+    n_steps = int(round(final_time / dt))
+    if abs(n_steps * dt - final_time) > 1e-10 * final_time:
+        raise ValueError(f"final time {final_time:g} is not an integer multiple "
+                         f"of dt = {dt:g}")
+    return n_steps
+
+
 def discrete_energy(state: SimulationState, system: GlobalSystem) -> float:
     """Leap-frog conserved quadratic form at the half step:
     E = 1/2 v^T M v + 1/2 u^n^T K u^{n-1} with v = (u^n - u^{n-1}) / dt."""

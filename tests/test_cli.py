@@ -20,6 +20,15 @@ class TestDispersionCommand:
         assert code == 2
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, word", [("--grid", "hexa", "grid"),
+                                                   ("--r", "1.2", "sqrt(2)"),
+                                                   ("--q-rel", "0", "q_rel")])
+    def test_invalid_parameter_exit_2(self, tmp_path, capsys, flag, value, word):
+        code = main(["dispersion", "--k", "1", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
+
     def test_unknown_flag_exit_2(self, tmp_path):
         code = main(["dispersion", "--grid", "quad", "--nope", "1",
                      "--out", str(tmp_path)])
@@ -82,8 +91,9 @@ class TestSolveCommand:
         assert code == 1
         assert "nope.txt" in capsys.readouterr().err
 
+    # the default --dt is 5e-4, so --T 0.01025 is 20.5 steps
     @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "-1e-3"),
-                                             ("--T", "-0.1")])
+                                             ("--T", "-0.1"), ("--T", "0.01025")])
     def test_bad_dt_or_T_exit_2_before_reading_mesh(self, tmp_path, capsys,
                                                     flag, value):
         path = tmp_path / "mesh.txt"
@@ -92,6 +102,16 @@ class TestSolveCommand:
                      "--out", str(tmp_path)])
         assert code == 2
         assert flag in capsys.readouterr().err
+
+    def test_T_not_multiple_of_dt_exit_2(self, tmp_path, capsys):
+        mesh = generate_family("random_quad", 0, seed=0)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        code = main(["solve", "--mesh", str(path), "--T", "0.0105", "--dt", "1e-3",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "multiple" in capsys.readouterr().err
+        assert not (tmp_path / "final_state.ckpt").exists()
 
     def test_super_cfl_dt_exit_1(self, tmp_path, capsys):
         mesh = generate_family("random_quad", 0, seed=0)

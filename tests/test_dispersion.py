@@ -57,6 +57,33 @@ class TestBlochReduction:
             assert abs(abs(nz[0]) - 1.0) < 1e-14
 
 
+class TestScatterReductionOracle:
+    """bloch_reduce scatters the sparse entries of M and K; the dense product
+    P^H A P with the same projector is the oracle."""
+
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_matches_dense_product(self, grid, degree):
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        system = reference_system(grid, degree, mat)
+        for kvec in ([0.0, 0.0], [1.1, -0.4], [-0.7, 2.3]):
+            red = bloch_reduce(system, np.array(kvec))
+            p = red.projector
+            for a, reduced in ((system.mass, red.mass),
+                               (system.stiffness, red.stiffness)):
+                dense = p.conj().T @ a.toarray() @ p
+                dense = 0.5 * (dense + dense.conj().T)
+                # scaled by the unreduced matrix: at k = 0 the reduced
+                # stiffness of the lowest degrees is zero up to round-off
+                assert np.abs(reduced - dense).max() <= 1e-13 * abs(a).max()
+                assert np.abs(reduced - reduced.conj().T).max() == 0.0
+
+    def test_reference_system_cached(self):
+        # two equal but distinct Material instances share one cache entry
+        a, b = (Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0) for _ in range(2))
+        assert reference_system("quad", 1, a) is reference_system("quad", 1, b)
+
+
 class TestSemidiscrete:
     def test_hand_derived_quad_k1_symbol(self):
         """Frozen regression anchor: the 2x2 reduced pencil of the k = 1 square
@@ -159,6 +186,20 @@ class TestCflParameter:
                 lam_max = max(lam_max, lam[-1])
             qs.append(2.0 * mat.c_p / (h * np.sqrt(lam_max)))
         assert abs(qs[0] - qs[1]) < 0.01 * qs[0]
+
+    @pytest.mark.parametrize("grid, degree", [("quad", 3), ("c3", 2)])
+    def test_lambda_max_only_matches_full_spectrum(self, grid, degree):
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        system = reference_system(grid, degree, mat)
+        lam_max = 0.0
+        for theta in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+            kvec = 2.0 * np.pi * degree * 0.2 * np.array([np.cos(theta), np.sin(theta)])
+            red = bloch_reduce(system, kvec)
+            lam = la.eigh(red.stiffness, red.mass, eigvals_only=True)
+            lam_max = max(lam_max, lam[-1])
+        expected = 2.0 * mat.c_p / np.sqrt(lam_max)
+        q = cfl_parameter(grid, degree, 0.2, 2.0, n_angles=16)
+        assert abs(q - expected) <= 1e-13 * expected
 
     def test_monotone_decay_in_k(self):
         values = [cfl_parameter("quad", k, 0.2, 2.0, n_angles=16) for k in range(1, 7)]

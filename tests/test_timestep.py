@@ -154,6 +154,17 @@ class TestCfl:
         assert np.all(np.isfinite(state.u_curr))
 
 
+class TestStepCount:
+    @pytest.mark.parametrize("final_time, dt, n", [(0.01, 1e-3, 10), (0.0, 1e-3, 0),
+                                                   (0.1, 5e-4, 200)])
+    def test_integer_multiple(self, final_time, dt, n):
+        assert ts.step_count(final_time, dt) == n
+
+    def test_rejects_non_multiple(self):
+        with pytest.raises(ValueError, match="multiple"):
+            ts.step_count(0.0105, 1e-3)
+
+
 class TestConservation:
     def test_energy_drift(self):
         system = quad_grid_system(3, 2)
