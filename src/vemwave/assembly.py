@@ -189,77 +189,41 @@ def interpolate(system: GlobalSystem, field) -> np.ndarray:
     out = np.zeros(dofmap.n_vector)
     for ci, ops in enumerate(system.ops):
         sdofs = dofmap.cell_scalar_dofs(ci)
-        cache: dict = {}
-
-        def component(pts, j):
-            # dof_functionals revisits the same long-lived point arrays for both
-            # components, so one field evaluation per array suffices
-            key = id(pts)
-            if key not in cache:
-                cache[key] = (pts, np.asarray(field(pts)))
-            return cache[key][1][:, j]
-
-        ux = ops.dof_functionals(lambda p: component(p, 0))
-        uy = ops.dof_functionals(lambda p: component(p, 1))
-        out[sdofs] = ux
-        out[sdofs + dofmap.n_scalar] = uy
+        dofs = ops.dof_functionals(field)
+        out[sdofs] = dofs[:, 0]
+        out[sdofs + dofmap.n_scalar] = dofs[:, 1]
     return out
 
 
 def assemble_load(system: GlobalSystem, body_force=None, neumann=None,
-                  t: float = 0.0, projection: str = "full") -> np.ndarray:
+                  t: float = 0.0) -> np.ndarray:
     """Free-DOF load vector: int f . (Pi0 phi_i) plus the Neumann edge term.
 
-    With projection='full' (default) the volume term pairs f with the computable
-    degree-k projection Pi0_k phi_i, which keeps the L2 convergence at order
-    k + 1.  projection='reduced' pairs through Pi0_{k-2} instead (the moments
-    available from the interior DOFs alone; for k = 1 the enhanced degree-0
-    projection is used so the volume load does not vanish)."""
-    if projection not in ("full", "reduced"):
-        raise ValueError("projection must be 'full' or 'reduced'")
+    The volume term pairs f with the computable degree-k projection Pi0_k phi_i,
+    which keeps the L2 convergence at order k + 1."""
     dofmap = system.dofmap
     full = np.zeros(dofmap.n_vector)
     if body_force is not None:
         for ci, ops in enumerate(system.ops):
             sdofs = dofmap.cell_scalar_dofs(ci)
             vals = np.asarray(body_force(ops.rule.points, t))
-            if projection == "full":
-                qb = ops.basis.eval(ops.rule.points)
-                b = (ops.rule.weights[:, None] * qb).T @ vals  # int f p_alpha
-                contrib = ops.pi_zero.T @ b
-                full[sdofs] += contrib[:, 0]
-                full[sdofs + dofmap.n_scalar] += contrib[:, 1]
-            elif ops.n_km2:
-                qb = ops.basis.eval(ops.rule.points)[:, :ops.n_km2]
-                moments = (ops.rule.weights[:, None] * qb).T @ vals  # (n_km2, 2)
-                mass_km2 = ops.grams.mass[:ops.n_km2, :ops.n_km2]
-                # Pi0_{k-2} phi_i has coefficients area * mass_km2^{-1} e_gamma on
-                # the interior DOF columns only
-                coeffs = np.linalg.solve(mass_km2, moments)
-                rows = sdofs[ops.layout.interior_dofs]
-                full[rows] += ops.geometry.area * coeffs[:, 0]
-                full[rows + dofmap.n_scalar] += ops.geometry.area * coeffs[:, 1]
-            else:
-                # degree 0 projection of phi_i: (1/|P|) int Pi_nabla phi_i
-                mean_f = ops.rule.weights @ vals / ops.geometry.area  # (2,)
-                ints = ops.grams.mass[0] @ ops.pi_nabla  # int p_0 Pi_nabla phi_i
-                const = ops.basis.eval(ops.geometry.centroid[None, :])[0, 0]
-                phi_mean = ints / const / ops.geometry.area
-                full[sdofs] += ops.geometry.area * mean_f[0] * phi_mean
-                full[sdofs + dofmap.n_scalar] += ops.geometry.area * mean_f[1] * phi_mean
+            qb = ops.basis.eval(ops.rule.points)
+            b = (ops.rule.weights[:, None] * qb).T @ vals  # int f p_alpha
+            contrib = ops.pi_zero.T @ b
+            full[sdofs] += contrib[:, 0]
+            full[sdofs + dofmap.n_scalar] += contrib[:, 1]
     if neumann is not None:
         neumann_edges = {e for e in system.mesh.boundary_edges()
                          if system.mesh.edge_tags[e] == NEUMANN}
         if neumann_edges:
             for ci, ops in enumerate(system.ops):
                 sdofs = dofmap.cell_scalar_dofs(ci)
+                edges = ops.edges
                 for loc, e in enumerate(system.mesh.cell_edges[ci]):
                     if int(e) not in neumann_edges:
                         continue
-                    edge = ops.edge_traces[loc]
-                    g = np.asarray(neumann(edge.points, t))
-                    contrib_x = (edge.weights * g[:, 0]) @ edge.trace
-                    contrib_y = (edge.weights * g[:, 1]) @ edge.trace
-                    full[sdofs] += contrib_x
-                    full[sdofs + dofmap.n_scalar] += contrib_y
+                    g = np.asarray(neumann(edges.points[loc], t))
+                    contrib = (edges.weights[loc] * g.T) @ edges.trace[loc]
+                    full[sdofs] += contrib[0]
+                    full[sdofs + dofmap.n_scalar] += contrib[1]
     return system.restrict(full)

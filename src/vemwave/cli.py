@@ -44,21 +44,29 @@ def _load_config_file(path):
     return values
 
 
+def _config_value(action, key, text):
+    """Convert one config-file value as argparse converts the same flag; a
+    store_true flag takes 'true' or 'false'."""
+    if action.nargs == 0:
+        if text not in ("true", "false"):
+            raise ConfigError(f"config key {key!r} must be true or false, got {text!r}")
+        return text == "true"
+    try:
+        value = action.type(text) if action.type is not None else text
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r}: invalid value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}, "
+                          f"got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vemwave",
         description="Virtual element elastodynamics on polygonal meshes")
     parser.add_argument("--config", help="key = value file; CLI flags take precedence")
-    subparsers = {}
-    raw = parser.add_subparsers(dest="command", required=True)
-
-    class _Sub:
-        def add_parser(self, name, **kw):
-            p = raw.add_parser(name, **kw)
-            subparsers[name] = p
-            return p
-
-    sub = _Sub()
+    sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("convergence", help="manufactured-solution h-refinement study")
     p.add_argument("--family", default="random_quad",
                    help=f"mesh family, one of {FAMILIES} (or quad/hexa/octa aliases)")
@@ -116,7 +124,7 @@ def build_parser():
     p.add_argument("--T", type=float, default=0.1)
     p.add_argument("--snapshot-every", type=int, default=0)
     p.add_argument("--out", default=".")
-    return parser, subparsers
+    return parser, sub.choices
 
 
 FAMILY_ALIASES = {"quad": "random_quad", "hexa": "hexagonal", "octa": "nonconvex_octagon"}
@@ -280,19 +288,17 @@ def main(argv=None) -> int:
         print(f"error: unrecognized arguments: {' '.join(remaining)}", file=sys.stderr)
         return 2
     if args.config:
+        # config file fills in values the CLI left at their defaults
+        actions = {a.dest: a for a in subparsers[args.command]._actions
+                   if hasattr(args, a.dest)}
         try:
-            defaults = _load_config_file(args.config)
+            for key, val in _load_config_file(args.config).items():
+                action = actions.get(key)
+                if action is not None and getattr(args, key) == action.default:
+                    setattr(args, key, _config_value(action, key, val))
         except (OSError, ConfigError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # config file fills in values the CLI left at their defaults
-        command_parser = subparsers[args.command]
-        for key, val in defaults.items():
-            if hasattr(args, key):
-                default = command_parser.get_default(key)
-                if getattr(args, key) == default:
-                    cast = type(default) if default is not None else str
-                    setattr(args, key, cast(val))
     try:
         out = Path(args.out) if hasattr(args, "out") else Path(".")
         out.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,8 @@ class DispersionConfig:
     """Parameters of one plane-wave analysis.
 
     delta is the sampling ratio h/(kL) of the shortest (shear) wavelength; the
-    wavevector magnitude is 2 pi k delta / h.  Under the default 'scaled'
+    wavevector magnitude is 2 pi k delta / h, with h = 1 the side of the unit
+    periodic cell that ``reference_system`` builds.  Under the default 'scaled'
     P-wave convention the compressional mode is analyzed at its own, r times
     longer, wavelength (wavevector magnitude divided by r); 'shared' evaluates
     both modes at the shear wavevector.  q_rel is the Courant fraction used by
@@ -42,7 +43,6 @@ class DispersionConfig:
     q_rel: float = 1.0
     rho: float = 1.0
     c_p: float = float(np.sqrt(2.0))
-    cell_size: float = 1.0
     p_convention: str = "scaled"
 
     def __post_init__(self):
@@ -66,7 +66,7 @@ class DispersionConfig:
         return Material.from_wave_speeds(self.rho, self.c_p, self.speed_ratio)
 
     def wavenumber(self) -> float:
-        return 2.0 * np.pi * self.degree * self.delta / self.cell_size
+        return 2.0 * np.pi * self.degree * self.delta
 
     def wavevector(self) -> np.ndarray:
         return self.wavenumber() * np.array([np.cos(self.theta), np.sin(self.theta)])
@@ -256,7 +256,7 @@ def fullydiscrete_dispersion(config: DispersionConfig, dt: float | None = None,
         if q_cfl is None:
             q_cfl = cfl_parameter(config.grid, config.degree, config.delta,
                                   config.speed_ratio, rho=config.rho, c_p=config.c_p)
-        dt = config.q_rel * q_cfl * config.cell_size / config.material.c_p
+        dt = config.q_rel * q_cfl / config.material.c_p
 
     def to_omega(lam: float) -> float:
         arg = 0.5 * dt * np.sqrt(max(lam, 0.0))

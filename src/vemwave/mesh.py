@@ -33,7 +33,6 @@ class ElementGeometry:
     centroid: np.ndarray
     diameter: float
     area: float
-    edge_midpoints: np.ndarray
     edge_lengths: np.ndarray
     edge_normals: np.ndarray  # outward unit normals, one per loop edge
 
@@ -123,7 +122,6 @@ class PolygonalMesh:
         for e, owners in enumerate(edge_cells):
             for j, c in enumerate(owners):
                 self.edge_cells[e, j] = c
-        self.bbox = (self.vertices.min(axis=0), self.vertices.max(axis=0))
 
     def _apply_boundary_tags(self, boundary_tags):
         self.edge_tags = np.array(
@@ -155,26 +153,15 @@ class PolygonalMesh:
     def boundary_edges(self) -> np.ndarray:
         return np.where(self.edge_cells[:, 1] < 0)[0]
 
-    def edge_vector(self, e: int) -> np.ndarray:
-        a, b = self.edges[e]
-        return self.vertices[b] - self.vertices[a]
-
-    def edge_normal(self, e: int) -> np.ndarray:
-        t = self.edge_vector(e)
-        t = t / np.hypot(*t)
-        return np.array([t[1], -t[0]])
-
     def cell_geometry(self, ci: int) -> ElementGeometry:
         geo = self._geometry_cache.get(ci)
         if geo is None:
             v = self.vertices[self.cells[ci]]
             area, centroid = polygon_area_centroid(v)
-            vn = np.roll(v, -1, axis=0)
-            tang = vn - v
+            tang = np.roll(v, -1, axis=0) - v
             lengths = np.hypot(tang[:, 0], tang[:, 1])
             normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-            geo = ElementGeometry(centroid, polygon_diameter(v), area,
-                                  0.5 * (v + vn), lengths, normals)
+            geo = ElementGeometry(centroid, polygon_diameter(v), area, lengths, normals)
             self._geometry_cache[ci] = geo
         return geo
 
@@ -617,8 +604,15 @@ def write_mesh(mesh: PolygonalMesh, path) -> None:
 
 
 def read_mesh(path) -> PolygonalMesh:
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+    """Read the polymesh 1 text format; any malformed content raises MeshParseError
+    naming the line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MeshParseError(path, raw[:exc.start].count(b"\n") + 1,
+                             "non-ASCII byte") from None
 
     pos = 0
 
@@ -631,30 +625,36 @@ def read_mesh(path) -> PolygonalMesh:
                 return line, pos
         raise MeshParseError(path, pos if pos else 1, "unexpected end of file")
 
+    def section(word):
+        line, ln = next_line()
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != word:
+            raise MeshParseError(path, ln, f"expected '{word} N'")
+        if not parts[1].isdigit():
+            raise MeshParseError(path, ln, f"{word} count must be a nonnegative integer, "
+                                           f"got {parts[1]!r}")
+        return int(parts[1]), ln
+
     line, ln = next_line()
     if line != "polymesh 1":
         raise MeshParseError(path, ln, f"expected header 'polymesh 1', got {line!r}")
 
-    line, ln = next_line()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise MeshParseError(path, ln, "expected 'vertices N'")
-    n_vertices = int(parts[1])
-    verts = np.empty((n_vertices, 2))
-    for i in range(n_vertices):
+    n_vertices, ln = section("vertices")
+    verts = []
+    for _ in range(n_vertices):
         line, ln = next_line()
         try:
             x, y = map(float, line.split())
         except ValueError:
             raise MeshParseError(path, ln, f"bad vertex line {line!r}") from None
-        verts[i] = (x, y)
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise MeshParseError(path, ln, f"non-finite vertex {line!r}")
+        verts.append((x, y))
 
-    line, ln = next_line()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "cells":
-        raise MeshParseError(path, ln, "expected 'cells M'")
+    n_cells, ln = section("cells")
     cells = []
-    for _ in range(int(parts[1])):
+    loop_edges = set()
+    for _ in range(n_cells):
         line, ln = next_line()
         nums = line.split()
         try:
@@ -667,20 +667,24 @@ def read_mesh(path) -> PolygonalMesh:
         if any(v < 0 or v >= n_vertices for v in ids):
             raise MeshParseError(path, ln, "cell references a missing vertex")
         cells.append(ids)
+        loop_edges.update(frozenset(e) for e in zip(ids, ids[1:] + ids[:1]))
 
-    line, ln = next_line()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "boundary":
-        raise MeshParseError(path, ln, "expected 'boundary B'")
+    n_tags, ln = section("boundary")
     tags = {}
-    for _ in range(int(parts[1])):
+    for _ in range(n_tags):
         line, ln = next_line()
         parts = line.split()
         if len(parts) != 3 or parts[2] not in (DIRICHLET, NEUMANN):
             raise MeshParseError(path, ln, f"bad boundary line {line!r}")
-        tags[(int(parts[0]), int(parts[1]))] = parts[2]
+        try:
+            key = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise MeshParseError(path, ln, f"bad boundary line {line!r}") from None
+        if frozenset(key) not in loop_edges:
+            raise MeshParseError(path, ln, f"boundary line names no mesh edge {key}")
+        tags[key] = parts[2]
 
     try:
-        return PolygonalMesh(verts, cells, boundary_tags=tags)
+        return PolygonalMesh(np.array(verts).reshape(-1, 2), cells, boundary_tags=tags)
     except MeshError as exc:
         raise MeshParseError(path, ln, str(exc)) from exc

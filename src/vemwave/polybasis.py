@@ -87,9 +87,6 @@ class PolynomialBasis:
         return PolynomialBasis(self.centroid, self.diameter, degree,
                                self.exponents[:n], coeffs)
 
-    def exponent_index(self) -> dict[tuple[int, int], int]:
-        return {(int(a), int(b)): i for i, (a, b) in enumerate(self.exponents)}
-
 
 def scaled_monomials(centroid: np.ndarray, diameter: float, degree: int) -> PolynomialBasis:
     return PolynomialBasis(np.asarray(centroid, dtype=float), float(diameter),
@@ -133,9 +130,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        return self.weights @ values
-
 
 def gauss_segment(p0: np.ndarray, p1: np.ndarray, n: int) -> QuadratureRule:
     """Gauss-Legendre rule on the segment p0 -> p1 (weights sum to the length)."""
@@ -164,17 +158,6 @@ def _reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     Y = np.repeat(eta, n)
     W = np.outer(weta, wxi).ravel()
     return np.column_stack([X, Y]), W
-
-
-def triangle_quadrature(v0, v1, v2, exactness: int) -> QuadratureRule:
-    ref_pts, ref_w = _reference_triangle_rule(exactness)
-    v0 = np.asarray(v0, dtype=float)
-    e1 = np.asarray(v1, dtype=float) - v0
-    e2 = np.asarray(v2, dtype=float) - v0
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    pts = v0[None, :] + ref_pts[:, 0:1] * e1[None, :] + ref_pts[:, 1:2] * e2[None, :]
-    # reference weights sum to 1/2, the reference area; |det| is the Jacobian
-    return QuadratureRule(pts, ref_w * abs(det))
 
 
 def polygon_area_centroid(vertices: np.ndarray) -> tuple[float, np.ndarray]:

@@ -8,6 +8,7 @@ scalar DOF vector and expressed in the element polynomial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -39,9 +40,6 @@ class ScalarDofLayout:
     @property
     def n_total(self) -> int:
         return self.n_vertices * (1 + self.moments_per_edge) + self.n_interior
-
-    def vertex_dof(self, local_vertex: int) -> int:
-        return local_vertex
 
     def edge_dofs(self, local_edge: int) -> np.ndarray:
         start = self.n_vertices + local_edge * self.moments_per_edge
@@ -112,13 +110,50 @@ class DofMap:
         return np.array(sorted(fixed), dtype=int)
 
 
+@lru_cache(maxsize=None)
+def _edge_reference(degree: int, npts: int):
+    """Edge data shared by every edge of every element of one degree.
+
+    Returns the Gauss coordinates t in [-1/2, 1/2], the weights of the unit edge,
+    ``trace_coeff`` (npts, k+1) mapping (start value, end value, moments) to point
+    values, and ``moment_weights`` (npts, k-1) with 1/|E| int_E v t^l ds =
+    moment_weights[:, l] @ v (the 1/|E| cancels the |E| of the weights).  The
+    arrays are read-only because every element shares them."""
+    k = degree
+    gx, gw = np.polynomial.legendre.leggauss(npts)
+    t = 0.5 * gx
+    unit_weights = gw * 0.5
+
+    # edge polynomials are represented internally in shifted Legendre for
+    # conditioning; the DOFs themselves stay monomial moments
+    vander = npleg.legvander(2.0 * t, k)
+    a_sys = np.zeros((k + 1, k + 1))
+    a_sys[0] = npleg.legvander(np.array([-1.0]), k)[0]
+    a_sys[1] = npleg.legvander(np.array([1.0]), k)[0]
+    if k >= 2:
+        mx, mw = np.polynomial.legendre.leggauss(k + 1)
+        mt = 0.5 * mx
+        mvander = npleg.legvander(2.0 * mt, k)
+        for ell in range(k - 1):
+            a_sys[2 + ell] = (0.5 * mw * mt ** ell) @ mvander
+    trace_coeff = np.linalg.solve(a_sys.T, vander.T).T
+    moment_weights = unit_weights[:, None] * t[:, None] ** np.arange(k - 1)
+    out = (t, unit_weights, trace_coeff, moment_weights)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class EdgeTrace:
-    """Per-edge data for boundary integration of virtual functions.
+    """The element boundary as one stacked edge rule, edges in loop order.
 
-    ``trace`` maps the local scalar DOF vector to function values at the edge
-    quadrature points; ``param`` holds the edge coordinates t in [-1/2, 1/2]
-    measured along the global edge orientation.
+    ``points`` (n_e, q, 2) and ``weights`` (n_e, q) are the Gauss rule of each
+    edge; ``trace`` (n_e, q, n_total) maps the local scalar DOF vector to
+    function values at those points; ``param`` (q,) holds the edge coordinates
+    t in [-1/2, 1/2] measured along the global edge orientation, the same for
+    every edge.  ``normal`` (n_e, 2) holds the outward unit normals and
+    ``length`` (n_e,) the edge lengths.
     """
 
     points: np.ndarray
@@ -126,7 +161,7 @@ class EdgeTrace:
     param: np.ndarray
     trace: np.ndarray
     normal: np.ndarray
-    length: float
+    length: np.ndarray
 
 
 class ElementOperators:
@@ -159,80 +194,45 @@ class ElementOperators:
         self.n_km2 = basis_dimension(degree - 2)
 
         self._build_edges(quad_boost)
-        self._build_dof_matrix()
-        self._build_elliptic_projector()
-        self._build_l2_projectors()
+        self.dof_matrix = self.dof_functionals(self.basis.eval)
+
+        # the basis on all edge points at once, and int_dP g phi_i ds as
+        # g @ weighted_trace; only the projector right-hand sides use them
+        points = self.edges.points.reshape(-1, 2)
+        on_boundary = self.basis.eval(points)
+        dx, dy = self.basis.eval_gradient(points)
+        normal = np.repeat(self.edges.normal, len(self.edges.param), axis=0)
+        weighted_trace = (self.edges.weights[..., None] * self.edges.trace).reshape(
+            len(points), -1)
+        self._build_elliptic_projector(dx * normal[:, :1] + dy * normal[:, 1:],
+                                       on_boundary, weighted_trace)
+        self._build_l2_projectors(on_boundary[:, :self.n_km1], normal, weighted_trace)
 
     # -- edge traces --------------------------------------------------------
 
     def _build_edges(self, quad_boost: int):
-        k = self.degree
-        cell = self.mesh.cells[self.cell_index]
-        signs = self.mesh.cell_edge_signs[self.cell_index]
-        n = len(cell)
-        npts = k + 1 + quad_boost
-        gx, gw = np.polynomial.legendre.leggauss(npts)
-        t = 0.5 * gx  # edge coordinate in [-1/2, 1/2]
-
-        # edge polynomials are represented internally in shifted Legendre for
-        # conditioning; the DOFs themselves stay monomial moments
-        vander = npleg.legvander(2.0 * t, k)
-        a_sys = np.zeros((k + 1, k + 1))
-        a_sys[0] = npleg.legvander(np.array([-1.0]), k)[0]
-        a_sys[1] = npleg.legvander(np.array([1.0]), k)[0]
-        if k >= 2:
-            nmom = k + 1
-            mx, mw = np.polynomial.legendre.leggauss(nmom)
-            mt = 0.5 * mx
-            mvander = npleg.legvander(2.0 * mt, k)
-            for ell in range(k - 1):
-                a_sys[2 + ell] = (0.5 * mw * mt ** ell) @ mvander
-        trace_coeff = np.linalg.solve(a_sys.T, vander.T).T  # (npts, k+1)
-
-        edges = []
-        total = self.layout.n_total
-        for loc in range(n):
-            a = self.mesh.vertices[cell[loc]]
-            b = self.mesh.vertices[cell[(loc + 1) % n]]
-            length = float(np.hypot(*(b - a)))
-            tangent = (b - a) / length
-            normal = np.array([tangent[1], -tangent[0]])  # outward for a CCW loop
-            if signs[loc] > 0:
-                start, end = a, b
-                start_loc, end_loc = loc, (loc + 1) % n
-            else:
-                start, end = b, a
-                start_loc, end_loc = (loc + 1) % n, loc
-            mid = 0.5 * (start + end)
-            pts = mid[None, :] + t[:, None] * (end - start)[None, :]
-            weights = gw * 0.5 * length
-            cols = np.concatenate([[start_loc, end_loc], self.layout.edge_dofs(loc)])
-            trace = np.zeros((npts, total))
-            trace[:, cols] = trace_coeff
-            edges.append(EdgeTrace(pts, weights, t, trace, normal, length))
-        self.edge_traces = edges
-
-    def boundary_matrix(self, values_per_edge) -> np.ndarray:
-        """sum_E int_E g(x) phi_i ds given ``values_per_edge[j]`` = g at edge j's points."""
-        out = np.zeros(self.layout.n_total)
-        for edge, vals in zip(self.edge_traces, values_per_edge):
-            out += (edge.weights * vals) @ edge.trace
-        return out
-
-    # -- DOF matrix ---------------------------------------------------------
-
-    def _build_dof_matrix(self):
         lay = self.layout
-        d = np.zeros((lay.n_total, self.n_k))
-        d[:lay.n_vertices] = self.basis.eval(self.vertex_coords)
-        for loc, edge in enumerate(self.edge_traces):
-            rows = lay.edge_dofs(loc)
-            vals = self.basis.eval(edge.points)
-            for ell in range(lay.moments_per_edge):
-                d[rows[ell]] = (edge.weights * edge.param ** ell) @ vals / edge.length
-        if lay.n_interior:
-            d[lay.interior_dofs] = self.grams.mass[:self.n_km2, :] / self.geometry.area
-        self.dof_matrix = d
+        n, m = lay.n_vertices, lay.moments_per_edge
+        t, unit_weights, trace_coeff, self._moment_weights = _edge_reference(
+            self.degree, self.degree + 1 + quad_boost)
+        loc = np.arange(n)
+        nxt = np.roll(loc, -1)
+        forward = self.mesh.cell_edge_signs[self.cell_index] > 0
+        start_loc = np.where(forward, loc, nxt)
+        end_loc = np.where(forward, nxt, loc)
+        start = self.vertex_coords[start_loc]
+        end = self.vertex_coords[end_loc]
+        mid = 0.5 * (start + end)
+        points = mid[:, None, :] + t[None, :, None] * (end - start)[:, None, :]
+        length = self.geometry.edge_lengths
+        weights = unit_weights[None, :] * length[:, None]
+
+        cols = np.column_stack([start_loc, end_loc, n + np.arange(n * m).reshape(n, m)])
+        trace = np.zeros((n, len(t), lay.n_total))
+        trace[loc[:, None, None], np.arange(len(t))[None, :, None],
+              cols[:, None, :]] = trace_coeff
+        self.edges = EdgeTrace(points, weights, t, trace,
+                               self.geometry.edge_normals, length)
 
     # -- elliptic projector --------------------------------------------------
 
@@ -244,15 +244,11 @@ class ElementOperators:
         c22 = self.basis.coeffs[:self.n_km2, :self.n_km2]
         return np.linalg.solve(c22, mono_coeffs)
 
-    def _build_elliptic_projector(self):
+    def _build_elliptic_projector(self, normal_derivative, on_boundary, weighted_trace):
         lay = self.layout
         area = self.geometry.area
         g = self.grams.stiffness().copy()
-        b = np.zeros((self.n_k, lay.n_total))
-        for edge in self.edge_traces:
-            dx, dy = self.basis.eval_gradient(edge.points)
-            dn = dx * edge.normal[0] + dy * edge.normal[1]
-            b += dn.T @ (edge.weights[:, None] * edge.trace)
+        b = normal_derivative.T @ weighted_trace
         if self.n_km2:
             lap = monomial_laplacian_map(self.degree, self.geometry.diameter)
             if self.basis.coeffs is not None:
@@ -262,14 +258,9 @@ class ElementOperators:
 
         # mean-value constraint replaces the constant-monomial row
         if self.degree == 1:
-            perimeter = sum(e.length for e in self.edge_traces)
-            row_g = np.zeros(self.n_k)
-            row_b = np.zeros(lay.n_total)
-            for edge in self.edge_traces:
-                row_g += edge.weights @ self.basis.eval(edge.points)
-                row_b += edge.weights @ edge.trace
-            g[0] = row_g / perimeter
-            b[0] = row_b / perimeter
+            perimeter = self.edges.length.sum()
+            g[0] = self.edges.weights.ravel() @ on_boundary / perimeter
+            b[0] = weighted_trace.sum(axis=0) / perimeter
         else:
             # row: (1/|P|) int p_b . x_b = first interior moment of phi; basis function 0
             # is constant so the scale factors cancel on both sides
@@ -288,7 +279,7 @@ class ElementOperators:
 
     # -- L2 projectors -------------------------------------------------------
 
-    def _build_l2_projectors(self):
+    def _build_l2_projectors(self, on_boundary_km1, normal, weighted_trace):
         lay = self.layout
         area = self.geometry.area
         mass = self.grams.mass
@@ -300,13 +291,8 @@ class ElementOperators:
                 area * np.eye(self.n_km2)
         self.pi_zero = np.linalg.solve(mass, c)
 
-        bx = np.zeros((self.n_km1, lay.n_total))
-        by = np.zeros((self.n_km1, lay.n_total))
-        for edge in self.edge_traces:
-            vals = self.basis.eval(edge.points)[:, :self.n_km1]
-            wtr = edge.weights[:, None] * edge.trace
-            bx += edge.normal[0] * (vals.T @ wtr)
-            by += edge.normal[1] * (vals.T @ wtr)
+        bx = on_boundary_km1.T @ (normal[:, :1] * weighted_trace)
+        by = on_boundary_km1.T @ (normal[:, 1:] * weighted_trace)
         if self.n_km2:
             dxm = monomial_derivative_map(self.degree - 1, 0, self.geometry.diameter)
             dym = monomial_derivative_map(self.degree - 1, 1, self.geometry.diameter)
@@ -325,20 +311,24 @@ class ElementOperators:
     # -- DOF functionals ------------------------------------------------------
 
     def dof_functionals(self, fn) -> np.ndarray:
-        """Scalar DOFs of a pointwise-evaluable function: vertex values, normalized
-        edge moments, normalized interior moments.  The interpolation entry point."""
+        """DOFs of a pointwise-evaluable function: vertex values, normalized edge
+        moments, normalized interior moments.  ``fn(points)`` returns values of shape
+        (npts,) or (npts, m), and the result has shape (n_total,) or (n_total, m).
+        The interpolation entry point, and D = dof_functionals(basis.eval)."""
         lay = self.layout
-        out = np.empty(lay.n_total)
-        out[:lay.n_vertices] = fn(self.vertex_coords)
-        for loc, edge in enumerate(self.edge_traces):
-            vals = fn(edge.points)
-            rows = lay.edge_dofs(loc)
-            for j in range(lay.moments_per_edge):
-                out[rows[j]] = (edge.weights * edge.param ** j) @ vals / edge.length
+        at_vertices = np.asarray(fn(self.vertex_coords))
+        tail = at_vertices.shape[1:]
+        out = np.empty((lay.n_total,) + tail)
+        out[:lay.n_vertices] = at_vertices
+        on_edges = np.asarray(fn(self.edges.points.reshape(-1, 2))).reshape(
+            self.edges.weights.shape + tail)
+        moments = np.einsum("ql,eq...->el...", self._moment_weights, on_edges)
+        out[lay.n_vertices:lay.n_total - lay.n_interior] = moments.reshape((-1,) + tail)
         if lay.n_interior:
-            vals = fn(self.rule.points)
-            qb = self.basis.eval(self.rule.points)[:, :self.n_km2]
-            out[lay.interior_dofs] = (self.rule.weights * vals) @ qb / self.geometry.area
+            vals = np.asarray(fn(self.rule.points))
+            qb = self.basis.restrict(self.degree - 2).eval(self.rule.points)
+            out[lay.interior_dofs] = \
+                (self.rule.weights[:, None] * qb).T @ vals / self.geometry.area
         return out
 
     # DOF-space projector matrices used by the stabilization terms

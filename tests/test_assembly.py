@@ -132,7 +132,7 @@ def exact_forms_from_dofs(ops, mat, dofs):
 
     mom = [moments(vx), moments(vy)]
 
-    pts_per_edge = [e.points for e in ops.edge_traces]
+    edges = ops.edges
     m_rows = []
     a_rows = []
     exps = basis.exponents
@@ -148,7 +148,8 @@ def exact_forms_from_dofs(ops, mat, dofs):
                 return dx[:, alpha], dy[:, alpha]
 
             total = 0.0
-            for edge, pts in zip(ops.edge_traces, pts_per_edge):
+            for trace, weights, normal, pts in zip(edges.trace, edges.weights,
+                                                   edges.normal, edges.points):
                 dxq, dyq = grad_eval(pts)
                 if comp == 0:
                     sig = np.stack([(2 * mat.mu + mat.lam) * dxq, mat.mu * dyq,
@@ -156,11 +157,11 @@ def exact_forms_from_dofs(ops, mat, dofs):
                 else:
                     sig = np.stack([mat.lam * dyq, mat.mu * dxq,
                                     mat.mu * dxq, (2 * mat.mu + mat.lam) * dyq])
-                tr_x = sig[0] * edge.normal[0] + sig[1] * edge.normal[1]
-                tr_y = sig[2] * edge.normal[0] + sig[3] * edge.normal[1]
-                vals_x = edge.trace @ vx
-                vals_y = edge.trace @ vy
-                total += edge.weights @ (tr_x * vals_x + tr_y * vals_y)
+                tr_x = sig[0] * normal[0] + sig[1] * normal[1]
+                tr_y = sig[2] * normal[0] + sig[3] * normal[1]
+                vals_x = trace @ vx
+                vals_y = trace @ vy
+                total += weights @ (tr_x * vals_x + tr_y * vals_y)
             # volume: div sigma(q) expanded exactly in monomials of degree <= k-2
             if ops.n_km2:
                 lower = monomial_exponents(ops.degree - 2)
@@ -401,3 +402,22 @@ class TestLoads:
             pts = ops.rule.points
             vals = ops.basis.eval(pts) @ coeffs
             assert np.abs(vals - field(pts)[:, 0]).max() < 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_interpolate_evaluates_field_once_per_point_set(self, material, degree):
+        """Vertices, all edge points, then the interior rule (k >= 2 only)."""
+        mesh = generate_family("hexagonal", 0)
+        system = assemble_global(mesh, degree, material, eliminate_dirichlet=False)
+        sizes = []
+
+        def field(p):
+            sizes.append(len(p))
+            return np.column_stack([p[:, 0], p[:, 1] ** 2])
+
+        interpolate(system, field)
+        expected = []
+        for ops in system.ops:
+            expected += [ops.layout.n_vertices, ops.edges.weights.size]
+            if degree >= 2:
+                expected.append(len(ops.rule.points))
+        assert sizes == expected

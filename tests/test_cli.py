@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vemwave import harness
 from vemwave.cli import main
 from vemwave.mesh import generate_family, write_mesh
 
@@ -170,3 +171,42 @@ class TestConfigFile:
         code = main(["--config", str(cfg), "dispersion", "--grid", "quad",
                      "--out", str(tmp_path)])
         assert code == 2
+
+    def test_float_value_runs_fully_discrete(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q_rel = 0.5\n")
+        code = main(["--config", str(cfg), "dispersion", "--grid", "quad", "--k", "1",
+                     "--r", "2", "--out", str(tmp_path)])
+        assert code == 0
+        header, row = (tmp_path / "dispersion.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["q_rel"] == "0.5"
+
+    def test_unconvertible_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q_rel = abc\n")
+        code = main(["--config", str(cfg), "dispersion", "--grid", "quad", "--k", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "q_rel" in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
+
+    @pytest.mark.parametrize("text, expected", [("false", (1e-3, 0.01)),
+                                                ("true", (1e-4, 1.0))])
+    def test_store_true_flag(self, tmp_path, monkeypatch, text, expected):
+        seen = []
+        monkeypatch.setattr(harness, "run_convergence",
+                            lambda family, degrees, levels, dt, T, seed: seen.append((dt, T)))
+        monkeypatch.setattr(harness, "write_convergence_csv", lambda study, path: None)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"paper_scale = {text}\n")
+        code = main(["--config", str(cfg), "convergence", "--k", "1", "--levels", "1",
+                     "--dt", "1e-3", "--T", "0.01", "--out", str(tmp_path)])
+        assert code == 0
+        assert seen == [expected]
+
+    def test_store_true_flag_rejects_other_words(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("paper_scale = no\n")
+        code = main(["--config", str(cfg), "convergence", "--out", str(tmp_path)])
+        assert code == 2
+        assert "paper_scale" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vemwave.mesh import (
     DIRICHLET,
@@ -196,3 +198,53 @@ class TestMeshIO:
         path.write_text("polymesh 1\nvertices 1\n0 zero\ncells 0\nboundary 0\n")
         with pytest.raises(MeshParseError, match="bad vertex"):
             read_mesh(path)
+
+    @pytest.mark.parametrize("text, line_no, word", [
+        ("polymesh 1\nvertices x\n", 2, "vertices count"),
+        ("polymesh 1\nvertices -1\n", 2, "vertices count"),
+        ("polymesh 1\nvertices 0\ncells 1.5\n", 3, "cells count"),
+        ("polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n3 0 1 2\nboundary -2\n", 8,
+         "boundary count"),
+        ("polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n3 0 1 2\nboundary 1\n"
+         "0 q dirichlet\n", 9, "bad boundary"),
+        ("polymesh 1\nvertices 4\n0 0\n1 0\n0 1\n1 1\ncells 1\n3 0 1 2\nboundary 1\n"
+         "1 3 dirichlet\n", 10, "no mesh edge"),
+        ("polymesh 1\nvertices 1\n0 nan\n", 3, "non-finite"),
+        ("polymesh 1\nvertices 1\n0 \u00e9\n", 3, "non-ASCII"),
+    ], ids=["vertices-word", "vertices-negative", "cells-float", "boundary-negative",
+            "boundary-index", "boundary-no-edge", "vertex-nan", "non-ascii"])
+    def test_malformed_counts_and_boundary_lines(self, tmp_path, text, line_no, word):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MeshParseError, match=word) as info:
+            read_mesh(path)
+        assert info.value.line_no == line_no
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_file_parses_or_raises_parse_error(self, tmp_path, data):
+        mesh = PolygonalMesh([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]],
+                             [[0, 1, 4, 3], [1, 2, 5, 4]],
+                             boundary_tags={(0, 1): NEUMANN, (2, 5): DIRICHLET})
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        damage = data.draw(st.sampled_from(["delete", "replace", "truncate"]))
+        if damage == "delete":
+            del lines[i]
+        elif damage == "truncate":
+            del lines[i:]
+        else:
+            tokens = lines[i].split()
+            j = data.draw(st.integers(0, len(tokens) - 1), label="token")
+            tokens[j] = data.draw(st.sampled_from(
+                ["x", "", "-1", "0", "1", "3", "7", "2.5", "1e999", "nan",
+                 "99999999999999999999", "dirichlet", "neumann", "interior", "cells"]))
+            lines[i] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            read_mesh(path)
+        except MeshParseError:
+            pass

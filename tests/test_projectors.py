@@ -68,6 +68,21 @@ class TestDofFunctionals:
         assert abs(dofs[ops.layout.interior_dofs[0]] - 4.0 / np.pi ** 2) < 1e-9
 
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_vector_values_match_each_component(self, octagon_mesh, degree):
+        ops = ElementOperators(octagon_mesh, 4, degree)
+
+        def field(p):
+            return np.column_stack([np.sin(3 * p[:, 0]) * p[:, 1],
+                                    np.exp(p[:, 0] - p[:, 1])])
+
+        both = ops.dof_functionals(field)
+        assert both.shape == (ops.layout.n_total, 2)
+        for j in range(2):
+            one = ops.dof_functionals(lambda p: field(p)[:, j])
+            assert np.abs(both[:, j] - one).max() <= 1e-15 * np.abs(one).max()
+
+
 class TestReproduction:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_square(self, unit_square_mesh, degree):
@@ -109,9 +124,10 @@ class TestIdentities:
         coeffs = ops.pi_nabla @ dofs
         grad = coeffs[1:3] / ops.basis.diameter  # gradient of the scaled monomials
         bnd = np.zeros(2)
-        for edge in ops.edge_traces:
-            vals = edge.trace @ dofs
-            bnd += edge.normal * (edge.weights @ vals)
+        for trace, weights, normal in zip(ops.edges.trace, ops.edges.weights,
+                                          ops.edges.normal):
+            vals = trace @ dofs
+            bnd += normal * (weights @ vals)
         assert np.abs(grad - bnd / ops.geometry.area).max() < 1e-13
 
     def test_idempotence(self, octagon_mesh):
