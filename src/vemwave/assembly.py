@@ -135,12 +135,10 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
                     eliminate_dirichlet: bool = True,
                     basis_kind: str = "monomial",
                     stabilization: str = "nabla",
-                    quad_boost: int = 0,
                     ops: list[ElementOperators] | None = None) -> GlobalSystem:
     dofmap = DofMap(mesh, degree)
     if ops is None:
-        ops = build_element_operators(mesh, degree, basis_kind=basis_kind,
-                                      quad_boost=quad_boost)
+        ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
     rows, cols, k_vals, s_rows, s_cols, m_vals = [], [], [], [], [], []
     for ci in range(mesh.n_cells):
         sdofs = dofmap.cell_scalar_dofs(ci)

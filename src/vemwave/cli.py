@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dispersion as disp
 from . import harness, timestep
-from .assembly import Material, assemble_global, assemble_load, interpolate
+from .assembly import Material, assemble_global
 from .mesh import FAMILIES, PERIODIC_GRIDS, MeshError, read_mesh
 
 
@@ -225,7 +225,7 @@ def _cmd_solve(args, out):
     if args.T < 0:
         raise ConfigError(f"--T must be >= 0 (got {args.T})")
     try:
-        n_steps = timestep.step_count(args.T, args.dt)
+        timestep.step_count(args.T, args.dt)
     except ValueError as exc:
         raise ConfigError(f"--T: {exc}") from None
     mesh_path = Path(args.mesh)
@@ -234,19 +234,7 @@ def _cmd_solve(args, out):
         return 1
     mesh = read_mesh(mesh_path)
     material = Material(args.rho, args.lam, args.mu)
-    problem = harness.standing_wave_benchmark(material)
     system = assemble_global(mesh, args.k, material)
-    solver = timestep.make_solver(system)
-    est = timestep.check_cfl(system, args.dt, solver)
-    u0 = system.restrict(interpolate(system, lambda p: problem.displacement(p, 0.0)))
-    v0 = system.restrict(interpolate(system, lambda p: problem.velocity(p, 0.0)))
-    if n_steps == 0:
-        state = timestep.SimulationState(u0.copy(), u0.copy(), 0, args.dt)
-        timestep.save_checkpoint(state, out / "final_state.ckpt")
-        return 0
-    f_spatial = assemble_load(system, lambda p, t: problem.spatial_load(p))
-    load = lambda n: problem.time_factor(n * args.dt) * f_spatial
-
     every = args.snapshot_every
     log = []
 
@@ -258,9 +246,8 @@ def _cmd_solve(args, out):
             log.append((state.step_index, e))
             print(f"step {state.step_index}: E = {e:.10e}")
 
-    state, _ = timestep.simulate(system, u0, v0, args.dt, n_steps, load,
-                                 solver=solver, on_step=on_step,
-                                 suggested_dt=est.dt)
+    state = harness.solve_benchmark(system, harness.standing_wave_benchmark(material),
+                                    args.dt, args.T, on_step=on_step)
     timestep.save_checkpoint(state, out / "final_state.ckpt")
     if log:
         with open(out / "energy.csv", "w", newline="", encoding="ascii") as f:
@@ -294,7 +281,10 @@ def main(argv=None) -> int:
         try:
             for key, val in _load_config_file(args.config).items():
                 action = actions.get(key)
-                if action is not None and getattr(args, key) == action.default:
+                if action is None:
+                    raise ConfigError(f"config key {key!r} names no option of "
+                                      f"'{args.command}'")
+                if getattr(args, key) == action.default:
                     setattr(args, key, _config_value(action, key, val))
         except (OSError, ConfigError) as exc:
             print(f"error: {exc}", file=sys.stderr)

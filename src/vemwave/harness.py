@@ -163,11 +163,12 @@ class ConvergenceStudy:
 
 
 def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
-                    final_time: float) -> np.ndarray:
-    """Integrate the benchmark to final_time and return the free displacement DOFs.
+                    final_time: float, on_step=None) -> ts.SimulationState:
+    """Integrate the benchmark to final_time and return the final state (free DOFs).
 
-    Refuses to run when dt exceeds the CFL estimate, reporting the admissible step.
-    The separable load is assembled once and rescaled each step."""
+    Refuses to run when dt exceeds the CFL limit, reporting the admissible step.
+    The separable load is assembled once and rescaled each step; ``on_step`` is
+    passed to ``timestep.simulate``."""
     n_steps = ts.step_count(final_time, dt)
     solver = ts.make_solver(system)
     est = ts.check_cfl(system, dt, solver)
@@ -176,8 +177,8 @@ def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
     f_spatial = assemble_load(system, lambda p, t: problem.spatial_load(p), t=0.0)
     load = lambda n: problem.time_factor(n * dt) * f_spatial
     state, _ = ts.simulate(system, u0, v0, dt, n_steps, load, solver=solver,
-                           suggested_dt=est.dt)
-    return state.u_curr
+                           on_step=on_step, suggested_dt=est.dt)
+    return state
 
 
 def run_convergence(family: str, degrees, levels, dt: float, final_time: float,
@@ -194,8 +195,8 @@ def run_convergence(family: str, degrees, levels, dt: float, final_time: float,
             start = time.perf_counter()
             system = assemble_global(mesh, degree, problem.material,
                                      basis_kind=basis_kind)
-            u_final = solve_benchmark(system, problem, dt, final_time)
-            errs = error_norms(system, system.expand(u_final),
+            state = solve_benchmark(system, problem, dt, final_time)
+            errs = error_norms(system, system.expand(state.u_curr),
                                problem.displacement, problem.gradient, final_time)
             study.records.append(ConvergenceRecord(
                 family, degree, level, mesh.max_diameter(), system.n_free,
@@ -229,8 +230,8 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
                 ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
                 system = assemble_global(mesh, degree, problem.material, ops=ops)
                 cond = max(op.projector_condition for op in ops)
-                u_final = solve_benchmark(system, problem, dt, final_time)
-                errs = error_norms(system, system.expand(u_final),
+                state = solve_benchmark(system, problem, dt, final_time)
+                errs = error_norms(system, system.expand(state.u_curr),
                                    problem.displacement, problem.gradient,
                                    final_time)
                 records.append(PRefinementRecord(

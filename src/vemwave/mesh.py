@@ -19,7 +19,14 @@ PERIODIC_GRIDS = ("quad", "tria", "c1", "c2", "c3", "c4")
 
 
 class MeshError(Exception):
-    """Invalid mesh topology or geometry."""
+    """Invalid mesh topology or geometry.  ``cell`` is the index of the offending
+    cell, ``edge`` the sorted vertex pair of an offending boundary tag, if any."""
+
+    def __init__(self, message, *, cell: int | None = None,
+                 edge: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.cell = cell
+        self.edge = edge
 
 
 class MeshParseError(MeshError):
@@ -75,14 +82,15 @@ class PolygonalMesh:
         nv = len(self.vertices)
         for ci, cell in enumerate(self.cells):
             if len(cell) < 3:
-                raise MeshError(f"cell {ci} has fewer than 3 vertices")
+                raise MeshError(f"cell {ci} has fewer than 3 vertices", cell=ci)
             if cell.min() < 0 or cell.max() >= nv:
-                raise MeshError(f"cell {ci} references a missing vertex")
+                raise MeshError(f"cell {ci} references a missing vertex", cell=ci)
             if len(np.unique(cell)) != len(cell):
-                raise MeshError(f"cell {ci} repeats a vertex")
+                raise MeshError(f"cell {ci} repeats a vertex", cell=ci)
             area = _signed_area(self.vertices[cell])
             if area <= 0:
-                raise MeshError(f"cell {ci} is not counterclockwise (signed area {area:g})")
+                raise MeshError(f"cell {ci} is not counterclockwise (signed area {area:g})",
+                                cell=ci)
 
         edge_index: dict[tuple[int, int], int] = {}
         edges = []
@@ -107,7 +115,8 @@ class PolygonalMesh:
                     owners = edge_cells[edge_index[key]]
                     if len(owners) >= 2:
                         raise MeshError(
-                            f"edge {key} is shared by more than two cells ({owners + [ci]})")
+                            f"edge {key} is shared by more than two cells ({owners + [ci]})",
+                            cell=ci)
                     owners.append(ci)
                 e = edge_index[key]
                 eids[k] = e
@@ -133,7 +142,8 @@ class PolygonalMesh:
                 key = tuple(sorted(map(int, self.edges[e])))
                 if key in lookup:
                     if self.edge_cells[e, 1] >= 0:
-                        raise MeshError(f"edge {key} is interior but was given a boundary tag")
+                        raise MeshError(f"edge {key} is interior but was given a boundary tag",
+                                        edge=key)
                     self.edge_tags[e] = lookup[key]
 
     # -- queries -----------------------------------------------------------
@@ -652,7 +662,7 @@ def read_mesh(path) -> PolygonalMesh:
         verts.append((x, y))
 
     n_cells, ln = section("cells")
-    cells = []
+    cells, cell_lines = [], []
     loop_edges = set()
     for _ in range(n_cells):
         line, ln = next_line()
@@ -667,10 +677,11 @@ def read_mesh(path) -> PolygonalMesh:
         if any(v < 0 or v >= n_vertices for v in ids):
             raise MeshParseError(path, ln, "cell references a missing vertex")
         cells.append(ids)
+        cell_lines.append(ln)
         loop_edges.update(frozenset(e) for e in zip(ids, ids[1:] + ids[:1]))
 
     n_tags, ln = section("boundary")
-    tags = {}
+    tags, tag_lines = {}, {}
     for _ in range(n_tags):
         line, ln = next_line()
         parts = line.split()
@@ -683,8 +694,13 @@ def read_mesh(path) -> PolygonalMesh:
         if frozenset(key) not in loop_edges:
             raise MeshParseError(path, ln, f"boundary line names no mesh edge {key}")
         tags[key] = parts[2]
+        tag_lines[tuple(sorted(key))] = ln
 
     try:
         return PolygonalMesh(np.array(verts).reshape(-1, 2), cells, boundary_tags=tags)
     except MeshError as exc:
+        if exc.cell is not None:
+            ln = cell_lines[exc.cell]
+        elif exc.edge is not None:
+            ln = tag_lines[exc.edge]
         raise MeshParseError(path, ln, str(exc)) from exc

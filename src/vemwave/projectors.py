@@ -341,8 +341,6 @@ class ElementOperators:
 
 
 def build_element_operators(mesh: PolygonalMesh, degree: int, *,
-                            basis_kind: str = "monomial",
-                            quad_boost: int = 0) -> list[ElementOperators]:
-    return [ElementOperators(mesh, ci, degree, basis_kind=basis_kind,
-                             quad_boost=quad_boost)
+                            basis_kind: str = "monomial") -> list[ElementOperators]:
+    return [ElementOperators(mesh, ci, degree, basis_kind=basis_kind)
             for ci in range(mesh.n_cells)]

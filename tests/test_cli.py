@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from vemwave import harness
+from vemwave.assembly import Material, assemble_global
 from vemwave.cli import main
 from vemwave.mesh import generate_family, write_mesh
+from vemwave.timestep import save_checkpoint
 
 
 class TestDispersionCommand:
@@ -125,6 +128,20 @@ class TestSolveCommand:
         assert "CFL" in capsys.readouterr().err
         assert not (tmp_path / "final_state.ckpt").exists()
 
+    def test_dt_above_exact_cfl_limit_exit_1(self, tmp_path, capsys):
+        mesh = generate_family("random_quad", 1, seed=0)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        system = assemble_global(mesh, 2, Material(1.0, 1.0, 1.0))
+        lam = la.eigh(system.stiffness.toarray(), system.mass.toarray(),
+                      eigvals_only=True)[-1]
+        dt = float(1.03 * 2.0 / np.sqrt(lam))
+        code = main(["solve", "--mesh", str(path), "--k", "2", "--dt", repr(dt),
+                     "--T", repr(10 * dt), "--out", str(tmp_path)])
+        assert code == 1
+        assert "CFL" in capsys.readouterr().err
+        assert not (tmp_path / "final_state.ckpt").exists()
+
     def test_zero_steps_writes_initial_state(self, tmp_path):
         mesh = generate_family("random_quad", 0, seed=0)
         path = tmp_path / "mesh.txt"
@@ -141,8 +158,15 @@ class TestSolveCommand:
         code = main(["solve", "--mesh", str(path), "--T", "0.01", "--dt", "1e-3",
                      "--k", "1", "--snapshot-every", "5", "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "final_state.ckpt").exists()
         assert (tmp_path / "state_00000005.ckpt").exists()
+        # vemwave solve runs harness.solve_benchmark: the same final state, bit for bit
+        material = Material(1.0, 1.0, 1.0)
+        state = harness.solve_benchmark(assemble_global(mesh, 1, material),
+                                        harness.standing_wave_benchmark(material),
+                                        1e-3, 0.01)
+        save_checkpoint(state, tmp_path / "expected.ckpt")
+        assert (tmp_path / "final_state.ckpt").read_bytes() == \
+            (tmp_path / "expected.ckpt").read_bytes()
 
 
 class TestConfigFile:
@@ -164,6 +188,15 @@ class TestConfigFile:
         assert code == 0
         row = (tmp_path / "dispersion.csv").read_text().splitlines()[1]
         assert row.startswith("quad,1,0.4,")
+
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dleta = 0.1\n")
+        code = main(["--config", str(cfg), "dispersion", "--grid", "quad", "--k", "1",
+                     "--r", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "dleta" in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

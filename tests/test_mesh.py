@@ -220,6 +220,26 @@ class TestMeshIO:
             read_mesh(path)
         assert info.value.line_no == line_no
 
+    @pytest.mark.parametrize("cells, boundary, line_no, word", [
+        (["4 0 3 4 1", "4 1 2 5 4"], [], 11, "counterclockwise"),
+        (["4 0 1 4 4", "4 1 2 5 4"], [], 11, "repeats a vertex"),
+        (["4 0 1 4 3", "4 1 2 5 4", "3 1 4 6"], [], 13, "more than two cells"),
+        (["4 0 1 4 3", "4 1 2 5 4"], ["0 1 dirichlet", "4 1 neumann", "2 5 dirichlet"],
+         15, "interior"),
+    ], ids=["clockwise-cell", "repeated-vertex", "edge-in-three-cells",
+            "tag-on-interior-edge"])
+    def test_topology_error_names_offending_line(self, tmp_path, cells, boundary,
+                                                 line_no, word):
+        verts = ["0 0", "1 0", "2 0", "0 1", "1 1", "2 1", "0.5 0.5"]
+        lines = (["polymesh 1", f"vertices {len(verts)}"] + verts
+                 + [f"cells {len(cells)}"] + cells
+                 + [f"boundary {len(boundary)}"] + boundary)
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshParseError, match=word) as info:
+            read_mesh(path)
+        assert info.value.line_no == line_no
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

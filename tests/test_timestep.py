@@ -4,12 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vemwave.assembly import Material, assemble_global
-from vemwave.mesh import PolygonalMesh, reference_periodic_cell
+from vemwave.mesh import PolygonalMesh, generate_family, reference_periodic_cell
 from vemwave import timestep as ts
 
 
@@ -19,6 +20,11 @@ def oscillator(omega: float):
     return SimpleNamespace(mass=mass, scalar_mass=mass,
                            stiffness=sp.csr_matrix(np.array([[omega ** 2]])),
                            n_free=1)
+
+
+def dense_lambda_max(system) -> float:
+    return la.eigh(system.stiffness.toarray(), system.mass.toarray(),
+                   eigvals_only=True)[-1]
 
 
 def quad_grid_system(n, degree, material=None):
@@ -132,15 +138,27 @@ class TestCfl:
     def test_matches_dense_eigensolve(self):
         system = quad_grid_system(2, 2)
         est = ts.cfl_timestep(system, safety=1.0)
-        import scipy.linalg as la
-        lam = la.eigh(system.stiffness.toarray(), system.mass.toarray(),
-                      eigvals_only=True)
-        assert abs(est.lambda_max - lam[-1]) < 0.01 * lam[-1]
+        lam = dense_lambda_max(system)
+        assert abs(est.lambda_max - lam) < 0.01 * lam
 
-    def test_reports_courant(self):
-        system = quad_grid_system(2, 1)
-        est = ts.cfl_timestep(system, 0.9, material=system.material, h=0.5)
-        assert est.courant == pytest.approx(system.material.c_p * est.dt / 0.5)
+    @pytest.mark.parametrize("family, level, degree", [("random_quad", 1, 2),
+                                                       ("nonconvex_octagon", 0, 2)])
+    def test_lambda_max_exact(self, family, level, degree):
+        system = assemble_global(generate_family(family, level, seed=0), degree,
+                                 Material(1.0, 1.0, 1.0))
+        lam = dense_lambda_max(system)
+        est = ts.cfl_timestep(system, safety=1.0)
+        assert abs(est.lambda_max - lam) <= 1e-8 * lam
+        assert est.dt == pytest.approx(2.0 / np.sqrt(lam), rel=1e-8)
+        coarse = ts.cfl_timestep(system, safety=1.0, tol=1e-3, max_iter=300)
+        assert abs(coarse.lambda_max - lam) <= 1e-4 * lam
+
+    def test_check_cfl_refuses_super_cfl_dt(self):
+        system = assemble_global(generate_family("random_quad", 1, seed=0), 2,
+                                 Material(1.0, 1.0, 1.0))
+        dt = 1.03 * 2.0 / np.sqrt(dense_lambda_max(system))
+        with pytest.raises(ValueError, match="CFL"):
+            ts.check_cfl(system, dt, ts.make_solver(system))
 
     def test_stability_bracketing(self):
         system = quad_grid_system(3, 2)
