@@ -8,7 +8,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import NEUMANN, PolygonalMesh
-from .projectors import DofMap, ElementOperators, build_element_operators
+from .polybasis import mT
+from .projectors import DofMap, ElementGroup, ElementOperators, build_element_operators
 
 
 @dataclass(frozen=True)
@@ -44,38 +45,44 @@ class Material:
         return cls(rho, lam, mu)
 
 
-def local_scalar_mass(ops: ElementOperators, material: Material) -> np.ndarray:
+def local_scalar_mass(ops: ElementOperators | ElementGroup,
+                      material: Material) -> np.ndarray:
     """Local scalar mass matrix: consistency Pi0^T Q Pi0 plus the dofi-dofj
     stabilization rho * h_P^2 (I - Pi0)^T (I - Pi0).  Both displacement
-    components share it."""
+    components share it.  One cell's matrix for a view, (G, n, n) for a group."""
     rho = material.rho
-    consistency = rho * (ops.pi_zero.T @ ops.grams.mass @ ops.pi_zero)
+    consistency = rho * (mT(ops.pi_zero) @ ops.grams.mass @ ops.pi_zero)
     s = np.eye(ops.layout.n_total) - ops.dof_projector_l2()
-    scalar = consistency + rho * ops.geometry.diameter ** 2 * (s.T @ s)
-    return 0.5 * (scalar + scalar.T)
+    h2 = np.asarray(ops.geometry.diameter)[..., None, None] ** 2
+    scalar = consistency + rho * h2 * (mT(s) @ s)
+    return 0.5 * (scalar + mT(scalar))
 
 
-def local_mass(ops: ElementOperators, material: Material) -> np.ndarray:
+def local_mass(ops: ElementOperators | ElementGroup, material: Material) -> np.ndarray:
     """Local vector mass matrix: the scalar mass on each component block."""
     scalar = local_scalar_mass(ops, material)
-    zero = np.zeros_like(scalar)
-    return np.block([[scalar, zero], [zero, scalar]])
+    n = scalar.shape[-1]
+    out = np.zeros(scalar.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = scalar
+    out[..., n:, n:] = scalar
+    return out
 
 
-def local_stiffness(ops: ElementOperators, material: Material, *,
+def local_stiffness(ops: ElementOperators | ElementGroup, material: Material, *,
                     stabilization: str = "nabla") -> np.ndarray:
     """Local vector stiffness: the four consistency blocks built from the projected
     derivatives Pi0x/Pi0y paired through the degree k-1 Gram matrix, plus
-    max(2 mu, lambda) (I - Pi)^T (I - Pi) per component (Pi elliptic by default)."""
+    max(2 mu, lambda) (I - Pi)^T (I - Pi) per component (Pi elliptic by default).
+    One cell's matrix for a view, (G, 2n, 2n) for a group."""
     mu, lam = material.mu, material.lam
-    h = ops.grams.mass[:ops.n_km1, :ops.n_km1]
+    h = ops.grams.mass[..., :ops.n_km1, :ops.n_km1]
     px, py = ops.pi_zero_x, ops.pi_zero_y
-    xx = px.T @ h @ px
-    yy = py.T @ h @ py
-    xy = px.T @ h @ py  # xy[i, j] = int (Pi0x phi_i)(Pi0y phi_j)
+    xx = mT(px) @ h @ px
+    yy = mT(py) @ h @ py
+    xy = mT(px) @ h @ py  # xy[i, j] = int (Pi0x phi_i)(Pi0y phi_j)
     k_upup = (2.0 * mu + lam) * xx + mu * yy
     k_dndn = mu * xx + (2.0 * mu + lam) * yy
-    k_updn = mu * xy.T + lam * xy
+    k_updn = mu * mT(xy) + lam * xy
 
     if stabilization == "nabla":
         s = np.eye(ops.layout.n_total) - ops.dof_projector_elliptic()
@@ -83,20 +90,21 @@ def local_stiffness(ops: ElementOperators, material: Material, *,
         s = np.eye(ops.layout.n_total) - ops.dof_projector_l2()
     else:
         raise ValueError("stabilization must be 'nabla' or 'l2'")
-    k_stab = max(2.0 * mu, lam) * (s.T @ s)
+    k_stab = max(2.0 * mu, lam) * (mT(s) @ s)
 
     n = ops.layout.n_total
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = k_upup + k_stab
-    out[n:, n:] = k_dndn + k_stab
-    out[:n, n:] = k_updn
-    out[n:, :n] = k_updn.T
-    return 0.5 * (out + out.T)
+    out = np.empty(k_stab.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = k_upup + k_stab
+    out[..., n:, n:] = k_dndn + k_stab
+    out[..., :n, n:] = k_updn
+    out[..., n:, :n] = mT(k_updn)
+    return 0.5 * (out + mT(out))
 
 
 class GlobalSystem:
     """Assembled sparse mass/stiffness over the free (non-Dirichlet) vector DOFs,
-    with the per-element operators retained for loads, interpolation and errors.
+    with the element groups (``groups``) and their per-cell views (``ops``, in
+    cell order) retained for loads, interpolation and errors.
 
     Free vector DOFs are ordered [x-free | y-free], and both components keep the
     same scalar DOFs, so the vector mass is ``blockdiag(scalar_mass,
@@ -104,6 +112,7 @@ class GlobalSystem:
 
     def __init__(self, mesh: PolygonalMesh, degree: int, material: Material,
                  dofmap: DofMap, ops: list[ElementOperators],
+                 groups: list[ElementGroup],
                  scalar_mass: sp.csr_matrix, stiffness: sp.csr_matrix,
                  free: np.ndarray):
         self.mesh = mesh
@@ -111,6 +120,7 @@ class GlobalSystem:
         self.material = material
         self.dofmap = dofmap
         self.ops = ops
+        self.groups = groups
         self.scalar_mass = scalar_mass
         self.mass = sp.block_diag((scalar_mass, scalar_mass), format="csr")
         self.stiffness = stiffness
@@ -131,35 +141,40 @@ class GlobalSystem:
         return full
 
 
+def _scatter(groups, dofs, local, size: int) -> sp.csr_matrix:
+    """Sum of the local matrices ``local(group)`` (G, m, m) placed at the DOFs
+    ``dofs`` (G, m) of each group, as a (size, size) CSR matrix.  The COO arrays
+    are filled in place, one group at a time, to keep the assembly peak low."""
+    total = sum(d.size * d.shape[1] for d in dofs)
+    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(total, dtype=index)
+    cols = np.empty(total, dtype=index)
+    vals = np.empty(total)
+    start = 0
+    for group, d in zip(groups, dofs):
+        g, m = d.shape
+        block = slice(start, start + g * m * m)
+        rows[block].reshape(g, m, m)[...] = d[:, :, None]
+        cols[block].reshape(g, m, m)[...] = d[:, None, :]
+        vals[block].reshape(g, m, m)[...] = local(group)
+        start = block.stop
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
 def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
                     eliminate_dirichlet: bool = True,
                     basis_kind: str = "monomial",
-                    stabilization: str = "nabla",
-                    ops: list[ElementOperators] | None = None) -> GlobalSystem:
+                    stabilization: str = "nabla") -> GlobalSystem:
     dofmap = DofMap(mesh, degree)
-    if ops is None:
-        ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
-    rows, cols, k_vals, s_rows, s_cols, m_vals = [], [], [], [], [], []
-    for ci in range(mesh.n_cells):
-        sdofs = dofmap.cell_scalar_dofs(ci)
-        gdofs = dofmap.cell_vector_dofs(ci)
-        m_loc = local_scalar_mass(ops[ci], material)
-        k_loc = local_stiffness(ops[ci], material, stabilization=stabilization)
-        grid = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        k_vals.append(k_loc.ravel())
-        grid = np.meshgrid(sdofs, sdofs, indexing="ij")
-        s_rows.append(grid[0].ravel())
-        s_cols.append(grid[1].ravel())
-        m_vals.append(m_loc.ravel())
+    ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
+    groups = [ops[cells.index[0]].group for cells in mesh.cell_groups()]
     n, n_s = dofmap.n_vector, dofmap.n_scalar
-    stiff = sp.coo_matrix((np.concatenate(k_vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n)).tocsr()
-    mass = sp.coo_matrix((np.concatenate(m_vals),
-                          (np.concatenate(s_rows), np.concatenate(s_cols))),
-                         shape=(n_s, n_s)).tocsr()
+    sdofs = [dofmap.group_scalar_dofs(group.cells) for group in groups]
+    stiff = _scatter(groups, [np.concatenate([d, d + n_s], axis=1) for d in sdofs],
+                     lambda group: local_stiffness(group, material,
+                                                   stabilization=stabilization), n)
+    mass = _scatter(groups, sdofs,
+                    lambda group: local_scalar_mass(group, material), n_s)
 
     if eliminate_dirichlet:
         fixed_scalar = dofmap.dirichlet_scalar_dofs()
@@ -175,21 +190,22 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
         stiff = stiff[free][:, free].tocsr()
     else:
         free = np.arange(n)
-    return GlobalSystem(mesh, degree, material, dofmap, ops, mass, stiff, free)
+    return GlobalSystem(mesh, degree, material, dofmap, ops, groups, mass, stiff, free)
 
 
 def interpolate(system: GlobalSystem, field) -> np.ndarray:
     """Full vector DOF array of the virtual element interpolant of a vector field.
 
-    ``field(points) -> (n, 2)`` values; the result has the Dirichlet DOFs included
-    (use system.restrict for the free part)."""
+    ``field(points) -> (n, 2)`` values, called once per point set of each group;
+    the result has the Dirichlet DOFs included (use system.restrict for the free
+    part)."""
     dofmap = system.dofmap
     out = np.zeros(dofmap.n_vector)
-    for ci, ops in enumerate(system.ops):
-        sdofs = dofmap.cell_scalar_dofs(ci)
-        dofs = ops.dof_functionals(field)
-        out[sdofs] = dofs[:, 0]
-        out[sdofs + dofmap.n_scalar] = dofs[:, 1]
+    for group in system.groups:
+        sdofs = dofmap.group_scalar_dofs(group.cells)
+        dofs = group.dof_functionals(field)
+        out[sdofs] = dofs[..., 0]
+        out[sdofs + dofmap.n_scalar] = dofs[..., 1]
     return out
 
 
@@ -198,30 +214,30 @@ def assemble_load(system: GlobalSystem, body_force=None, neumann=None,
     """Free-DOF load vector: int f . (Pi0 phi_i) plus the Neumann edge term.
 
     The volume term pairs f with the computable degree-k projection Pi0_k phi_i,
-    which keeps the L2 convergence at order k + 1."""
+    which keeps the L2 convergence at order k + 1.  Each callback is called once
+    per group with all its points."""
     dofmap = system.dofmap
+    n_s = dofmap.n_scalar
     full = np.zeros(dofmap.n_vector)
-    if body_force is not None:
-        for ci, ops in enumerate(system.ops):
-            sdofs = dofmap.cell_scalar_dofs(ci)
-            vals = np.asarray(body_force(ops.rule.points, t))
-            qb = ops.basis.eval(ops.rule.points)
-            b = (ops.rule.weights[:, None] * qb).T @ vals  # int f p_alpha
-            contrib = ops.pi_zero.T @ b
-            full[sdofs] += contrib[:, 0]
-            full[sdofs + dofmap.n_scalar] += contrib[:, 1]
-    if neumann is not None:
-        neumann_edges = {e for e in system.mesh.boundary_edges()
-                         if system.mesh.edge_tags[e] == NEUMANN}
-        if neumann_edges:
-            for ci, ops in enumerate(system.ops):
-                sdofs = dofmap.cell_scalar_dofs(ci)
-                edges = ops.edges
-                for loc, e in enumerate(system.mesh.cell_edges[ci]):
-                    if int(e) not in neumann_edges:
-                        continue
-                    g = np.asarray(neumann(edges.points[loc], t))
-                    contrib = (edges.weights[loc] * g.T) @ edges.trace[loc]
-                    full[sdofs] += contrib[0]
-                    full[sdofs + dofmap.n_scalar] += contrib[1]
+    for group in system.groups:
+        sdofs = dofmap.group_scalar_dofs(group.cells)
+        if body_force is not None:
+            rule = group.rule
+            vals = np.asarray(body_force(rule.points.reshape(-1, 2), t)).reshape(
+                rule.weights.shape + (2,))
+            wqb = group.basis.eval(rule.points)
+            wqb *= rule.weights[..., None]
+            b = mT(wqb) @ vals  # int f p_alpha
+            contrib = mT(group.pi_zero) @ b
+            np.add.at(full, sdofs, contrib[..., 0])
+            np.add.at(full, sdofs + n_s, contrib[..., 1])
+        if neumann is not None:
+            slot, loc = np.nonzero(system.mesh.edge_tags[group.cells.edges] == NEUMANN)
+            if len(slot):
+                edges = group.edges
+                pts = edges.points[slot, loc]
+                g = np.asarray(neumann(pts.reshape(-1, 2), t)).reshape(pts.shape)
+                contrib = mT(edges.weights[slot, loc, :, None] * g) @ edges.trace[slot, loc]
+                np.add.at(full, sdofs[slot], contrib[:, 0])
+                np.add.at(full, sdofs[slot] + n_s, contrib[:, 1])
     return system.restrict(full)

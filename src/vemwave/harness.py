@@ -11,7 +11,6 @@ import numpy as np
 from .assembly import GlobalSystem, Material, assemble_global, assemble_load, interpolate
 from .mesh import FAMILIES, generate_family
 from .polybasis import BasisConditioningError
-from .projectors import build_element_operators
 from . import timestep as ts
 
 
@@ -99,27 +98,23 @@ def error_norms(system: GlobalSystem, u_full: np.ndarray, exact, exact_gradient,
     is below 1e-14 the absolute errors are returned with relative=False."""
     dofmap = system.dofmap
     err_l2 = err_h1 = norm_l2 = norm_h1 = 0.0
-    for ci, ops in enumerate(system.ops):
-        sdofs = dofmap.cell_scalar_dofs(ci)
-        ux = u_full[sdofs]
-        uy = u_full[sdofs + dofmap.n_scalar]
-        pts, w = ops.rule.points, ops.rule.weights
-        basis_vals = ops.basis.eval(pts)
-        uh = np.column_stack([basis_vals @ (ops.pi_zero @ ux),
-                              basis_vals @ (ops.pi_zero @ uy)])
-        ue = np.asarray(exact(pts, t))
-        err_l2 += w @ ((uh - ue) ** 2).sum(axis=1)
-        norm_l2 += w @ (ue ** 2).sum(axis=1)
+    for group in system.groups:
+        sdofs = dofmap.group_scalar_dofs(group.cells)
+        u = np.stack([u_full[sdofs], u_full[sdofs + dofmap.n_scalar]], axis=-1)
+        pts, w = group.rule.points, group.rule.weights
+        basis_vals = group.basis.eval(pts)
+        uh = basis_vals @ (group.pi_zero @ u)
+        ue = np.asarray(exact(pts.reshape(-1, 2), t)).reshape(uh.shape)
+        err_l2 += np.sum(w * ((uh - ue) ** 2).sum(axis=-1))
+        norm_l2 += np.sum(w * (ue ** 2).sum(axis=-1))
 
-        vals_km1 = basis_vals[:, :ops.n_km1]
-        gh = np.empty((len(pts), 2, 2))
-        gh[:, 0, 0] = vals_km1 @ (ops.pi_zero_x @ ux)
-        gh[:, 0, 1] = vals_km1 @ (ops.pi_zero_y @ ux)
-        gh[:, 1, 0] = vals_km1 @ (ops.pi_zero_x @ uy)
-        gh[:, 1, 1] = vals_km1 @ (ops.pi_zero_y @ uy)
-        ge = np.asarray(exact_gradient(pts, t))
-        err_h1 += w @ ((gh - ge) ** 2).sum(axis=(1, 2))
-        norm_h1 += w @ (ge ** 2).sum(axis=(1, 2))
+        # gh[..., i, j] = d u_i / d x_j of the projected field
+        vals_km1 = basis_vals[..., :group.n_km1]
+        gh = np.stack([vals_km1 @ (group.pi_zero_x @ u),
+                       vals_km1 @ (group.pi_zero_y @ u)], axis=-1)
+        ge = np.asarray(exact_gradient(pts.reshape(-1, 2), t)).reshape(gh.shape)
+        err_h1 += np.sum(w * ((gh - ge) ** 2).sum(axis=(-2, -1)))
+        norm_h1 += np.sum(w * (ge ** 2).sum(axis=(-2, -1)))
     err_l2, err_h1 = np.sqrt(err_l2), np.sqrt(err_h1)
     norm_l2, norm_h1 = np.sqrt(norm_l2), np.sqrt(norm_h1)
     if norm_l2 < 1e-14 or norm_h1 < 1e-14:
@@ -227,9 +222,9 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
     for basis_kind in basis_kinds:
         for degree in degrees:
             try:
-                ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
-                system = assemble_global(mesh, degree, problem.material, ops=ops)
-                cond = max(op.projector_condition for op in ops)
+                system = assemble_global(mesh, degree, problem.material,
+                                         basis_kind=basis_kind)
+                cond = max(op.projector_condition for op in system.ops)
                 state = solve_benchmark(system, problem, dt, final_time)
                 errs = error_norms(system, system.expand(state.u_curr),
                                    problem.displacement, problem.gradient,

@@ -37,11 +37,41 @@ class MeshParseError(MeshError):
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    centroid: np.ndarray
-    diameter: float
-    area: float
-    edge_lengths: np.ndarray
-    edge_normals: np.ndarray  # outward unit normals, one per loop edge
+    """Geometry of one cell, or of a stack of cells along leading axes (``...``)."""
+
+    centroid: np.ndarray          # (..., 2)
+    diameter: float | np.ndarray  # (...)
+    area: float | np.ndarray      # (...)
+    edge_lengths: np.ndarray      # (..., n)
+    edge_normals: np.ndarray      # (..., n, 2) outward unit normals, one per loop edge
+
+    def __getitem__(self, i) -> "ElementGeometry":
+        """The geometry of cell ``i`` of a stack."""
+        return ElementGeometry(self.centroid[i], self.diameter[i], self.area[i],
+                               self.edge_lengths[i], self.edge_normals[i])
+
+
+def polygon_geometry(vertices: np.ndarray) -> ElementGeometry:
+    """Geometry of CCW vertex loops (..., n, 2)."""
+    v = np.asarray(vertices, dtype=float)
+    area, centroid = polygon_area_centroid(v)
+    tang = np.roll(v, -1, axis=-2) - v
+    lengths = np.hypot(tang[..., 0], tang[..., 1])
+    normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / lengths[..., None]
+    return ElementGeometry(centroid, polygon_diameter(v), area, lengths, normals)
+
+
+@dataclass(frozen=True)
+class CellGroup:
+    """Cells that share one vertex count, as stacked arrays: cell indices
+    ``index`` (G,) in ascending order, and per cell its vertex loop ``vertices``
+    (G, n), loop edges ``edges`` (G, n) and their orientation signs
+    ``edge_signs`` (G, n)."""
+
+    index: np.ndarray
+    vertices: np.ndarray
+    edges: np.ndarray
+    edge_signs: np.ndarray
 
 
 @dataclass
@@ -67,6 +97,7 @@ class PolygonalMesh:
         self.cells = [np.asarray(c, dtype=int) for c in cells]
         self.periodic: PeriodicPairing | None = None
         self._geometry_cache: dict[int, ElementGeometry] = {}
+        self._cell_groups: tuple[CellGroup, ...] | None = None
         self._build_connectivity()
         self._apply_boundary_tags(boundary_tags)
 
@@ -166,17 +197,29 @@ class PolygonalMesh:
     def cell_geometry(self, ci: int) -> ElementGeometry:
         geo = self._geometry_cache.get(ci)
         if geo is None:
-            v = self.vertices[self.cells[ci]]
-            area, centroid = polygon_area_centroid(v)
-            tang = np.roll(v, -1, axis=0) - v
-            lengths = np.hypot(tang[:, 0], tang[:, 1])
-            normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-            geo = ElementGeometry(centroid, polygon_diameter(v), area, lengths, normals)
+            geo = polygon_geometry(self.vertices[self.cells[ci]])
             self._geometry_cache[ci] = geo
         return geo
 
+    def cell_group(self, index) -> CellGroup:
+        """The cells ``index``, which must share one vertex count, as a CellGroup."""
+        index = np.asarray(index, dtype=int)
+        return CellGroup(index,
+                         np.array([self.cells[c] for c in index], dtype=int),
+                         np.array([self.cell_edges[c] for c in index], dtype=int),
+                         np.array([self.cell_edge_signs[c] for c in index], dtype=int))
+
+    def cell_groups(self) -> tuple[CellGroup, ...]:
+        """All cells, one CellGroup per vertex count, by ascending vertex count."""
+        if self._cell_groups is None:
+            counts = np.array([len(c) for c in self.cells])
+            self._cell_groups = tuple(self.cell_group(np.flatnonzero(counts == n))
+                                      for n in np.unique(counts))
+        return self._cell_groups
+
     def max_diameter(self) -> float:
-        return max(self.cell_geometry(c).diameter for c in range(self.n_cells))
+        return float(max(polygon_diameter(self.vertices[g.vertices]).max()
+                         for g in self.cell_groups()))
 
 
 def _signed_area(loop: np.ndarray) -> float:

@@ -4,6 +4,10 @@ Per element the degrees of freedom are: vertex values, edge moments against scal
 edge monomials of degree <= k-2, and interior moments against the element polynomial
 basis of degree <= k-2.  All projectors are returned as matrices acting on the local
 scalar DOF vector and expressed in the element polynomial basis.
+
+The machinery is built once per group of cells that share a vertex count
+(``ElementGroup``), stacked along a leading cell axis; ``ElementOperators`` is a
+per-cell view of one slot of a group.
 """
 from __future__ import annotations
 
@@ -13,13 +17,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import DIRICHLET, PolygonalMesh
+from .mesh import DIRICHLET, CellGroup, PolygonalMesh, polygon_geometry
 from .polybasis import (
     QuadratureRule,
     basis_dimension,
     monomial_derivative_map,
     monomial_grams,
     monomial_laplacian_map,
+    mT,
     orthonormalize,
     polygon_quadrature,
     scaled_monomials,
@@ -70,7 +75,6 @@ class DofMap:
         self.edge_offset = mesh.n_vertices
         self.cell_offset = self.edge_offset + mesh.n_edges * self.per_edge
         self.n_scalar = self.cell_offset + mesh.n_cells * self.per_cell
-        self._cell_cache: dict[int, np.ndarray] = {}
 
     @property
     def n_vector(self) -> int:
@@ -80,19 +84,17 @@ class DofMap:
         start = self.edge_offset + e * self.per_edge
         return np.arange(start, start + self.per_edge)
 
+    def group_scalar_dofs(self, cells: CellGroup) -> np.ndarray:
+        """Global scalar DOFs (G, n_total) of a group, in local layout order."""
+        g = len(cells.index)
+        edge = (self.edge_offset + cells.edges[..., None] * self.per_edge
+                + np.arange(self.per_edge))
+        interior = (self.cell_offset + cells.index[:, None] * self.per_cell
+                    + np.arange(self.per_cell))
+        return np.concatenate([cells.vertices, edge.reshape(g, -1), interior], axis=1)
+
     def cell_scalar_dofs(self, ci: int) -> np.ndarray:
-        cached = self._cell_cache.get(ci)
-        if cached is not None:
-            return cached
-        cell = self.mesh.cells[ci]
-        parts = [cell]
-        for e in self.mesh.cell_edges[ci]:
-            parts.append(self.edge_dofs(int(e)))
-        start = self.cell_offset + ci * self.per_cell
-        parts.append(np.arange(start, start + self.per_cell))
-        dofs = np.concatenate(parts).astype(int)
-        self._cell_cache[ci] = dofs
-        return dofs
+        return self.group_scalar_dofs(self.mesh.cell_group([ci]))[0]
 
     def cell_vector_dofs(self, ci: int) -> np.ndarray:
         s = self.cell_scalar_dofs(ci)
@@ -146,14 +148,15 @@ def _edge_reference(degree: int, npts: int):
 
 @dataclass(frozen=True)
 class EdgeTrace:
-    """The element boundary as one stacked edge rule, edges in loop order.
+    """The element boundary as one stacked edge rule, edges in loop order, with
+    the leading cell axes (``...``) of its group.
 
-    ``points`` (n_e, q, 2) and ``weights`` (n_e, q) are the Gauss rule of each
-    edge; ``trace`` (n_e, q, n_total) maps the local scalar DOF vector to
-    function values at those points; ``param`` (q,) holds the edge coordinates
-    t in [-1/2, 1/2] measured along the global edge orientation, the same for
-    every edge.  ``normal`` (n_e, 2) holds the outward unit normals and
-    ``length`` (n_e,) the edge lengths.
+    ``points`` (..., n_e, q, 2) and ``weights`` (..., n_e, q) are the Gauss rule
+    of each edge; ``trace`` (..., n_e, q, n_total) maps the local scalar DOF
+    vector to function values at those points; ``param`` (q,) holds the edge
+    coordinates t in [-1/2, 1/2] measured along the global edge orientation, the
+    same for every edge.  ``normal`` (..., n_e, 2) holds the outward unit normals
+    and ``length`` (..., n_e) the edge lengths.
     """
 
     points: np.ndarray
@@ -163,29 +166,36 @@ class EdgeTrace:
     normal: np.ndarray
     length: np.ndarray
 
+    def __getitem__(self, i) -> "EdgeTrace":
+        """The edges of cell ``i`` of a stack."""
+        return EdgeTrace(self.points[i], self.weights[i], self.param, self.trace[i],
+                         self.normal[i], self.length[i])
 
-class ElementOperators:
-    """All per-element VEM machinery: basis, quadrature, Grams, DOF matrix D,
-    and the projectors PiNabla (elliptic), Pi0 (enhanced L2), Pi0x/Pi0y."""
 
-    def __init__(self, mesh: PolygonalMesh, cell_index: int, degree: int, *,
+class ElementGroup:
+    """All VEM element machinery for a group of cells that share one vertex count,
+    stacked along a leading cell axis of length G: geometry, quadrature rule,
+    basis, Grams, edge traces, the DOF matrix D, and the projectors PiNabla
+    (elliptic), Pi0 (enhanced L2), Pi0x/Pi0y, each (G, ...)."""
+
+    def __init__(self, mesh: PolygonalMesh, cells: CellGroup, degree: int, *,
                  basis_kind: str = "monomial", quad_boost: int = 0):
         if basis_kind not in ("monomial", "orthonormal"):
             raise ValueError("basis_kind must be 'monomial' or 'orthonormal'")
-        self.cell_index = cell_index
-        self.degree = degree
         self.mesh = mesh
-        cell = mesh.cells[cell_index]
-        self.vertex_coords = mesh.vertices[cell]
-        self.geometry = mesh.cell_geometry(cell_index)
-        self.layout = scalar_layout(degree, len(cell))
+        self.cells = cells
+        self.degree = degree
+        self.vertex_coords = mesh.vertices[cells.vertices]
+        self.geometry = polygon_geometry(self.vertex_coords)
+        self.layout = scalar_layout(degree, cells.vertices.shape[1])
+        names = np.char.add("cell ", cells.index.astype(str))
 
         self.rule: QuadratureRule = polygon_quadrature(
             self.vertex_coords, 2 * degree + 2 + quad_boost,
-            centroid=self.geometry.centroid, name=f"cell {cell_index}")
+            centroid=self.geometry.centroid, name=names)
         basis = scaled_monomials(self.geometry.centroid, self.geometry.diameter, degree)
         if basis_kind == "orthonormal":
-            basis = orthonormalize(basis, self.rule)
+            basis = orthonormalize(basis, self.rule, name=names)
         self.basis = basis
         self.grams = monomial_grams(basis, self.rule)
 
@@ -194,19 +204,21 @@ class ElementOperators:
         self.n_km2 = basis_dimension(degree - 2)
 
         self._build_edges(quad_boost)
-        self.dof_matrix = self.dof_functionals(self.basis.eval)
-
         # the basis on all edge points at once, and int_dP g phi_i ds as
-        # g @ weighted_trace; only the projector right-hand sides use them
-        points = self.edges.points.reshape(-1, 2)
+        # g @ weighted_trace; only D and the projector right-hand sides use them
+        g = len(cells.index)
+        points = self.edges.points.reshape(g, -1, 2)
         on_boundary = self.basis.eval(points)
+        self.dof_matrix = self._functionals(
+            self.basis.eval(self.vertex_coords), on_boundary,
+            self.basis.eval(self.rule.points) if self.layout.n_interior else None)
         dx, dy = self.basis.eval_gradient(points)
-        normal = np.repeat(self.edges.normal, len(self.edges.param), axis=0)
+        normal = np.repeat(self.edges.normal, len(self.edges.param), axis=1)
         weighted_trace = (self.edges.weights[..., None] * self.edges.trace).reshape(
-            len(points), -1)
-        self._build_elliptic_projector(dx * normal[:, :1] + dy * normal[:, 1:],
+            g, points.shape[1], -1)
+        self._build_elliptic_projector(dx * normal[..., :1] + dy * normal[..., 1:],
                                        on_boundary, weighted_trace)
-        self._build_l2_projectors(on_boundary[:, :self.n_km1], normal, weighted_trace)
+        self._build_l2_projectors(on_boundary[..., :self.n_km1], normal, weighted_trace)
 
     # -- edge traces --------------------------------------------------------
 
@@ -217,20 +229,22 @@ class ElementOperators:
             self.degree, self.degree + 1 + quad_boost)
         loc = np.arange(n)
         nxt = np.roll(loc, -1)
-        forward = self.mesh.cell_edge_signs[self.cell_index] > 0
+        forward = self.cells.edge_signs > 0
         start_loc = np.where(forward, loc, nxt)
         end_loc = np.where(forward, nxt, loc)
-        start = self.vertex_coords[start_loc]
-        end = self.vertex_coords[end_loc]
+        start = np.take_along_axis(self.vertex_coords, start_loc[..., None], axis=1)
+        end = np.take_along_axis(self.vertex_coords, end_loc[..., None], axis=1)
         mid = 0.5 * (start + end)
-        points = mid[:, None, :] + t[None, :, None] * (end - start)[:, None, :]
+        points = mid[..., None, :] + t[:, None] * (end - start)[..., None, :]
         length = self.geometry.edge_lengths
-        weights = unit_weights[None, :] * length[:, None]
+        weights = unit_weights * length[..., None]
 
-        cols = np.column_stack([start_loc, end_loc, n + np.arange(n * m).reshape(n, m)])
-        trace = np.zeros((n, len(t), lay.n_total))
-        trace[loc[:, None, None], np.arange(len(t))[None, :, None],
-              cols[:, None, :]] = trace_coeff
+        g = len(self.cells.index)
+        moments = np.broadcast_to(n + np.arange(n * m).reshape(n, m), (g, n, m))
+        cols = np.concatenate([start_loc[..., None], end_loc[..., None], moments], axis=2)
+        trace = np.zeros((g, n, len(t), lay.n_total))
+        trace[np.arange(g)[:, None, None, None], loc[:, None, None],
+              np.arange(len(t))[:, None], cols[:, :, None, :]] = trace_coeff
         self.edges = EdgeTrace(points, weights, t, trace,
                                self.geometry.edge_normals, length)
 
@@ -241,95 +255,113 @@ class ElementOperators:
         the interior moments (identity for the monomial basis)."""
         if self.basis.coeffs is None:
             return mono_coeffs
-        c22 = self.basis.coeffs[:self.n_km2, :self.n_km2]
+        c22 = self.basis.coeffs[:, :self.n_km2, :self.n_km2]
         return np.linalg.solve(c22, mono_coeffs)
 
     def _build_elliptic_projector(self, normal_derivative, on_boundary, weighted_trace):
         lay = self.layout
-        area = self.geometry.area
+        area = self.geometry.area[:, None, None]
         g = self.grams.stiffness().copy()
-        b = normal_derivative.T @ weighted_trace
+        b = mT(normal_derivative) @ weighted_trace
         if self.n_km2:
             lap = monomial_laplacian_map(self.degree, self.geometry.diameter)
             if self.basis.coeffs is not None:
                 lap = lap @ self.basis.coeffs
             lap = self._expand_in_interior_basis(lap)
-            b[:, lay.interior_dofs] -= area * lap.T
+            b[..., lay.interior_dofs] -= area * mT(lap)
 
         # mean-value constraint replaces the constant-monomial row
         if self.degree == 1:
-            perimeter = self.edges.length.sum()
-            g[0] = self.edges.weights.ravel() @ on_boundary / perimeter
-            b[0] = weighted_trace.sum(axis=0) / perimeter
+            perimeter = self.edges.length.sum(axis=-1)[:, None]
+            g[:, 0] = (self.edges.weights.reshape(len(g), 1, -1) @ on_boundary)[:, 0] \
+                / perimeter
+            b[:, 0] = weighted_trace.sum(axis=1) / perimeter
         else:
             # row: (1/|P|) int p_b . x_b = first interior moment of phi; basis function 0
             # is constant so the scale factors cancel on both sides
-            g[0] = self.grams.mass[0] / area
-            row = np.zeros(lay.n_total)
-            row[lay.interior_dofs[0]] = 1.0
-            b[0] = row
+            g[:, 0] = self.grams.mass[:, 0] / area[:, 0]
+            b[:, 0] = 0.0
+            b[:, 0, lay.interior_dofs[0]] = 1.0
 
         cond = np.linalg.cond(g)
-        if not np.isfinite(cond) or cond > 1e15:
+        bad = ~(cond <= 1e15)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise ProjectorError(
-                f"cell {self.cell_index}: elliptic projector system is singular "
-                f"(cond ~ {cond:.2e})")
-        self.projector_condition = float(cond)
+                f"cell {self.cells.index[i]}: elliptic projector system is singular "
+                f"(cond ~ {cond[i]:.2e})")
+        self.projector_condition = cond
         self.pi_nabla = np.linalg.solve(g, b)
 
     # -- L2 projectors -------------------------------------------------------
 
     def _build_l2_projectors(self, on_boundary_km1, normal, weighted_trace):
         lay = self.layout
-        area = self.geometry.area
+        area = self.geometry.area[:, None, None]
         mass = self.grams.mass
 
         c = mass @ self.pi_nabla
         if self.n_km2:
-            c[:self.n_km2] = 0.0
-            c[np.arange(self.n_km2)[:, None], lay.interior_dofs[None, :]] = \
+            c[:, :self.n_km2] = 0.0
+            c[:, np.arange(self.n_km2)[:, None], lay.interior_dofs[None, :]] = \
                 area * np.eye(self.n_km2)
         self.pi_zero = np.linalg.solve(mass, c)
 
-        bx = on_boundary_km1.T @ (normal[:, :1] * weighted_trace)
-        by = on_boundary_km1.T @ (normal[:, 1:] * weighted_trace)
+        bx = mT(on_boundary_km1) @ (normal[..., :1] * weighted_trace)
+        by = mT(on_boundary_km1) @ (normal[..., 1:] * weighted_trace)
         if self.n_km2:
             dxm = monomial_derivative_map(self.degree - 1, 0, self.geometry.diameter)
             dym = monomial_derivative_map(self.degree - 1, 1, self.geometry.diameter)
             if self.basis.coeffs is not None:
-                c11 = self.basis.coeffs[:self.n_km1, :self.n_km1]
+                c11 = self.basis.coeffs[:, :self.n_km1, :self.n_km1]
                 dxm = dxm @ c11
                 dym = dym @ c11
             dxm = self._expand_in_interior_basis(dxm)
             dym = self._expand_in_interior_basis(dym)
-            bx[:, lay.interior_dofs] -= area * dxm.T
-            by[:, lay.interior_dofs] -= area * dym.T
-        mass_km1 = mass[:self.n_km1, :self.n_km1]
+            bx[..., lay.interior_dofs] -= area * mT(dxm)
+            by[..., lay.interior_dofs] -= area * mT(dym)
+        mass_km1 = mass[:, :self.n_km1, :self.n_km1]
         self.pi_zero_x = np.linalg.solve(mass_km1, bx)
         self.pi_zero_y = np.linalg.solve(mass_km1, by)
 
     # -- DOF functionals ------------------------------------------------------
 
-    def dof_functionals(self, fn) -> np.ndarray:
-        """DOFs of a pointwise-evaluable function: vertex values, normalized edge
-        moments, normalized interior moments.  ``fn(points)`` returns values of shape
-        (npts,) or (npts, m), and the result has shape (n_total,) or (n_total, m).
-        The interpolation entry point, and D = dof_functionals(basis.eval)."""
+    def _functionals(self, at_vertices, on_edges, at_interior, at=slice(None)):
+        """DOFs from values (..., npts, m) at the vertices, at all edge points and
+        at the interior rule points (None for k = 1) of the cells ``at``."""
         lay = self.layout
-        at_vertices = np.asarray(fn(self.vertex_coords))
-        tail = at_vertices.shape[1:]
-        out = np.empty((lay.n_total,) + tail)
-        out[:lay.n_vertices] = at_vertices
-        on_edges = np.asarray(fn(self.edges.points.reshape(-1, 2))).reshape(
-            self.edges.weights.shape + tail)
-        moments = np.einsum("ql,eq...->el...", self._moment_weights, on_edges)
-        out[lay.n_vertices:lay.n_total - lay.n_interior] = moments.reshape((-1,) + tail)
+        lead, tail = at_vertices.shape[:-2], at_vertices.shape[-1:]
+        out = np.empty(lead + (lay.n_total,) + tail)
+        out[..., :lay.n_vertices, :] = at_vertices
+        on_edges = on_edges.reshape(self.edges.weights[at].shape + tail)
+        moments = np.einsum("ql,...eqm->...elm", self._moment_weights, on_edges)
+        out[..., lay.n_vertices:lay.n_total - lay.n_interior, :] = \
+            moments.reshape(lead + (-1,) + tail)
         if lay.n_interior:
-            vals = np.asarray(fn(self.rule.points))
-            qb = self.basis.restrict(self.degree - 2).eval(self.rule.points)
-            out[lay.interior_dofs] = \
-                (self.rule.weights[:, None] * qb).T @ vals / self.geometry.area
+            rule = self.rule[at]
+            qb = self.basis[at].restrict(self.degree - 2).eval(rule.points)
+            area = np.asarray(self.geometry.area[at])[..., None, None]
+            out[..., lay.interior_dofs, :] = \
+                mT(rule.weights[..., None] * qb) @ at_interior / area
         return out
+
+    def dof_functionals(self, fn, at=slice(None)) -> np.ndarray:
+        """DOFs of a pointwise-evaluable function on the cells ``at`` of the group
+        (all by default): vertex values, normalized edge moments, normalized
+        interior moments.  ``fn(points)`` takes points (npts, 2) and returns values
+        (npts,) or (npts, m); it is called once per point set, and the result has
+        shape (G, n_total) or (G, n_total, m) (no cell axis for an integer ``at``).
+        The interpolation entry point; D applies the same ``_functionals`` to the
+        basis."""
+        def values(points):
+            vals = np.asarray(fn(points.reshape(-1, 2)))
+            return vals.reshape(points.shape[:-1] + (-1,)), vals.ndim == 1
+
+        at_vertices, scalar = values(self.vertex_coords[at])
+        out = self._functionals(
+            at_vertices, values(self.edges.points[at])[0],
+            values(self.rule.points[at])[0] if self.layout.n_interior else None, at)
+        return out[..., 0] if scalar else out
 
     # DOF-space projector matrices used by the stabilization terms
 
@@ -340,7 +372,78 @@ class ElementOperators:
         return self.dof_matrix @ self.pi_zero
 
 
+class _Slot:
+    """Attribute of an ElementOperators view: its cell's slot of the group value."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        return getattr(view.group, self.name)[view.slot]
+
+
+class ElementOperators:
+    """One cell's element machinery: a view of one slot of an ElementGroup, with
+    the group's attribute names and per-cell (2-D) arrays.
+
+    ``ElementOperators(mesh, ci, degree)`` builds a group of one cell."""
+
+    vertex_coords = _Slot()
+    geometry = _Slot()
+    rule = _Slot()
+    basis = _Slot()
+    grams = _Slot()
+    edges = _Slot()
+    dof_matrix = _Slot()
+    pi_nabla = _Slot()
+    pi_zero = _Slot()
+    pi_zero_x = _Slot()
+    pi_zero_y = _Slot()
+
+    def __init__(self, mesh: PolygonalMesh, cell_index: int, degree: int, *,
+                 basis_kind: str = "monomial", quad_boost: int = 0):
+        self._bind(ElementGroup(mesh, mesh.cell_group([cell_index]), degree,
+                                basis_kind=basis_kind, quad_boost=quad_boost), 0)
+
+    @classmethod
+    def view(cls, group: ElementGroup, slot: int) -> "ElementOperators":
+        ops = cls.__new__(cls)
+        ops._bind(group, slot)
+        return ops
+
+    def _bind(self, group: ElementGroup, slot: int):
+        self.group = group
+        self.slot = slot
+        self.mesh = group.mesh
+        self.cell_index = int(group.cells.index[slot])
+        self.degree = group.degree
+        self.layout = group.layout
+        self.n_k, self.n_km1, self.n_km2 = group.n_k, group.n_km1, group.n_km2
+        self.projector_condition = float(group.projector_condition[slot])
+
+    def dof_functionals(self, fn) -> np.ndarray:
+        """DOFs of ``fn`` on this cell: shape (n_total,) or (n_total, m)."""
+        return self.group.dof_functionals(fn, self.slot)
+
+    dof_projector_elliptic = ElementGroup.dof_projector_elliptic
+    dof_projector_l2 = ElementGroup.dof_projector_l2
+
+
+def build_element_groups(mesh: PolygonalMesh, degree: int, *,
+                         basis_kind: str = "monomial") -> list[ElementGroup]:
+    """One ElementGroup per vertex count, in the order of ``mesh.cell_groups()``."""
+    return [ElementGroup(mesh, cells, degree, basis_kind=basis_kind)
+            for cells in mesh.cell_groups()]
+
+
 def build_element_operators(mesh: PolygonalMesh, degree: int, *,
                             basis_kind: str = "monomial") -> list[ElementOperators]:
-    return [ElementOperators(mesh, ci, degree, basis_kind=basis_kind)
-            for ci in range(mesh.n_cells)]
+    """One ElementOperators view per cell, in cell order, over the groups of
+    ``build_element_groups``."""
+    ops: list[ElementOperators] = [None] * mesh.n_cells
+    for group in build_element_groups(mesh, degree, basis_kind=basis_kind):
+        for slot, ci in enumerate(group.cells.index):
+            ops[ci] = ElementOperators.view(group, slot)
+    return ops

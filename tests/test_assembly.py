@@ -334,6 +334,27 @@ class TestGlobalAssembly:
         assert np.abs(mass.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal"])
+    @pytest.mark.parametrize("eliminate", [True, False])
+    def test_stiffness_matches_per_cell_reference(self, material, family, eliminate):
+        """The group-wise COO scatter against dense per-cell accumulation; the
+        hexagonal mesh interleaves cells of 4, 5 and 6 vertices in cell order."""
+        mesh = generate_family(family, 0, seed=1)
+        system = assemble_global(mesh, 2, material, eliminate_dirichlet=eliminate)
+        if family == "hexagonal":
+            counts = [len(c) for c in mesh.cells]
+            assert counts != sorted(counts)
+            assert len(system.groups) == 3
+        dofmap = system.dofmap
+        ref = np.zeros((dofmap.n_vector, dofmap.n_vector))
+        for ci, ops in enumerate(system.ops):
+            gdofs = dofmap.cell_vector_dofs(ci)
+            ref[np.ix_(gdofs, gdofs)] += local_stiffness(ops, material)
+        ref = ref[np.ix_(system.free, system.free)]
+        got = system.stiffness.toarray()
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 class TestLoads:
     def test_zero_load(self, material):
         mesh = generate_family("random_quad", 0)
@@ -405,9 +426,11 @@ class TestLoads:
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_interpolate_evaluates_field_once_per_point_set(self, material, degree):
-        """Vertices, all edge points, then the interior rule (k >= 2 only)."""
+        """Per vertex-count group: all vertices, all edge points, then all interior
+        rule points (k >= 2 only)."""
         mesh = generate_family("hexagonal", 0)
         system = assemble_global(mesh, degree, material, eliminate_dirichlet=False)
+        assert len(system.groups) == 3
         sizes = []
 
         def field(p):
@@ -416,8 +439,8 @@ class TestLoads:
 
         interpolate(system, field)
         expected = []
-        for ops in system.ops:
-            expected += [ops.layout.n_vertices, ops.edges.weights.size]
+        for group in system.groups:
+            expected += [group.vertex_coords[..., 0].size, group.edges.weights.size]
             if degree >= 2:
-                expected.append(len(ops.rule.points))
+                expected.append(group.rule.weights.size)
         assert sizes == expected

@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
+from vemwave.assembly import Material, local_scalar_mass, local_stiffness
 from vemwave.mesh import PolygonalMesh, generate_family
-from vemwave.polybasis import basis_dimension, monomial_derivative_map
-from vemwave.projectors import DofMap, ElementOperators, scalar_layout
+from vemwave.polybasis import (
+    BasisConditioningError,
+    QuadratureError,
+    basis_dimension,
+    monomial_derivative_map,
+)
+from vemwave.projectors import (
+    DofMap,
+    ElementGroup,
+    ElementOperators,
+    ProjectorError,
+    build_element_groups,
+    build_element_operators,
+    scalar_layout,
+)
 
 
 def reproduction_errors(mesh, ci, degree, basis_kind="monomial"):
@@ -201,3 +215,80 @@ class TestIdentities:
                 for mat in (ops.pi_nabla, ops.pi_zero, ops.pi_zero_x, ops.pi_zero_y):
                     assert np.isfinite(mat).all()
                     assert np.abs(mat).max() < bound
+
+
+class TestElementGroups:
+    """The stacked group build against groups of one cell (``ElementOperators``)."""
+
+    @pytest.mark.parametrize("basis_kind", ["monomial", "orthonormal"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+    def test_group_slot_matches_single_cell(self, family, level, degree, basis_kind):
+        mesh = generate_family(family, level, seed=3)
+        mat = Material(1.0, 2.0, 0.5)
+        groups = build_element_groups(mesh, degree, basis_kind=basis_kind)
+        assert sorted(np.concatenate([g.cells.index for g in groups])) == \
+            list(range(mesh.n_cells))
+        for group in groups:
+            stacked = {name: getattr(group, name) for name in
+                       ("pi_nabla", "pi_zero", "pi_zero_x", "pi_zero_y", "dof_matrix")}
+            stacked["mass"] = local_scalar_mass(group, mat)
+            stacked["stiffness"] = local_stiffness(group, mat)
+            for slot, ci in enumerate(group.cells.index):
+                one = ElementOperators(mesh, ci, degree, basis_kind=basis_kind)
+                single = {name: getattr(one, name) for name in
+                          ("pi_nabla", "pi_zero", "pi_zero_x", "pi_zero_y", "dof_matrix")}
+                single["mass"] = local_scalar_mass(one, mat)
+                single["stiffness"] = local_stiffness(one, mat)
+                for name, ref in single.items():
+                    got = stacked[name][slot]
+                    assert got.shape == ref.shape
+                    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), \
+                        (name, ci)
+
+    def test_views_in_cell_order(self, hexagonal_mesh):
+        ops = build_element_operators(hexagonal_mesh, 2)
+        assert [op.cell_index for op in ops] == list(range(hexagonal_mesh.n_cells))
+        for ci, op in enumerate(ops):
+            assert op.group.cells.index[op.slot] == ci
+            assert len(op.vertex_coords) == len(hexagonal_mesh.cells[ci])
+            assert isinstance(op.projector_condition, float)
+
+    def test_group_dofs_match_cell_dofs(self, hexagonal_mesh):
+        dofmap = DofMap(hexagonal_mesh, 3)
+        for cells in hexagonal_mesh.cell_groups():
+            dofs = dofmap.group_scalar_dofs(cells)
+            for slot, ci in enumerate(cells.index):
+                assert (dofs[slot] == dofmap.cell_scalar_dofs(ci)).all()
+
+
+def _two_cell_mesh(second):
+    """A unit square (cell 0) and ``second`` (cell 1, same vertex count), apart."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    second = np.asarray(second, dtype=float)
+    first = square if len(second) == 4 else np.array(
+        [[0.0, 0.0], [1.0, 0.0], [1.3, 0.6], [0.5, 1.0], [-0.3, 0.6]])
+    verts = np.vstack([first, second + [10.0, 0.0]])
+    n = len(first)
+    return PolygonalMesh(verts, [list(range(n)), list(range(n, 2 * n))])
+
+
+class TestGroupErrorsNameCell:
+    """Errors of a stacked build name the offending cell, not the group's first."""
+
+    def test_quadrature_error(self):
+        mesh = _two_cell_mesh([[0, 0], [4, 0], [4, 4], [2.0, 0.4], [0, 4.0]])
+        assert len(mesh.cell_groups()) == 1
+        with pytest.raises(QuadratureError, match=r"cell 1: .*fan triangle 2"):
+            build_element_operators(mesh, 1)
+
+    def test_basis_conditioning_error(self):
+        mesh = _two_cell_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 2e-9], [0.0, 1e-9]])
+        with pytest.raises(BasisConditioningError, match="cell 1:"):
+            build_element_operators(mesh, 12, basis_kind="orthonormal")
+
+    def test_projector_error(self):
+        mesh = _two_cell_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 2e-9], [0.0, 1e-9]])
+        with pytest.raises(ProjectorError, match="cell 1:"):
+            ElementGroup(mesh, mesh.cell_groups()[0], 2)

@@ -160,6 +160,16 @@ class TestCfl:
         with pytest.raises(ValueError, match="CFL"):
             ts.check_cfl(system, dt, ts.make_solver(system))
 
+    def test_check_cfl_refuses_one_percent_above_limit(self):
+        """No slack above the exact limit: 1.01x is refused, 0.99x admitted."""
+        system = assemble_global(generate_family("random_quad", 1, seed=0), 2,
+                                 Material(1.0, 1.0, 1.0))
+        limit = 2.0 / np.sqrt(dense_lambda_max(system))
+        solver = ts.make_solver(system)
+        with pytest.raises(ValueError, match="CFL"):
+            ts.check_cfl(system, 1.01 * limit, solver)
+        assert ts.check_cfl(system, 0.99 * limit, solver).dt >= 0.99 * limit
+
     def test_stability_bracketing(self):
         system = quad_grid_system(3, 2)
         est = ts.cfl_timestep(system, safety=1.0)

@@ -1,0 +1,59 @@
+"""The benchmark tracer's contract with vemwave.
+
+``perfbench/spans.py`` traces vemwave by rebinding the functions it lists in
+``TRACED``, and its element counter reads one entry per cell, each with a float
+``projector_condition``, from ``build_element_operators``.  A refactor that
+renames or moves one of those functions, or changes that return value, would
+silently break ``perfbench/run.py --trace 1``; these tests catch it.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import vemwave.assembly as assembly
+from vemwave.mesh import generate_family
+from vemwave.projectors import build_element_operators
+
+_SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists(spans):
+    for mod_name, funcs in spans.TRACED.items():
+        module = importlib.import_module(f"vemwave.{mod_name}")
+        for fname in funcs:
+            assert callable(getattr(module, fname, None)), f"vemwave.{mod_name}.{fname}"
+
+
+@pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+def test_element_operators_one_per_cell(family):
+    mesh = generate_family(family, 0)
+    ops = build_element_operators(mesh, 2)
+    assert len(ops) == mesh.n_cells
+    assert all(isinstance(op.projector_condition, float) for op in ops)
+
+
+def test_tracer_sees_element_build_in_assembly(spans):
+    mesh = generate_family("hexagonal", 0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # through the module, as the benchmark calls it: the tracer rebinds
+        # names in vemwave's namespaces only
+        assembly.assemble_global(mesh, 2, assembly.Material(1.0, 1.0, 1.0))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert "assembly.assemble_global" in names
+    assert "projectors.build_element_operators" in names
+    assert tracer.counts["projectors.elements"] == mesh.n_cells
+    assert tracer.extrema["projectors.max_condition"] > 1.0
