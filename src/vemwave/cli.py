@@ -200,7 +200,10 @@ def _cmd_cfl(args, out):
     rows = []
     for g in grids:
         for k in range(args.kmin, args.kmax + 1):
-            q = disp.cfl_parameter(g, k, args.delta, args.r)
+            try:
+                q = disp.cfl_parameter(g, k, args.delta, args.r)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             rows.append((g, k, q))
             print(f"{g} k={k}: q_CFL = {q:.6f}")
     disp.write_cfl_csv(rows, out / "cfl.csv")
@@ -208,9 +211,10 @@ def _cmd_cfl(args, out):
 
 
 def _cmd_anisotropy(args, out):
-    if args.angles < 8:
-        raise ConfigError("--angles must be >= 8")
-    rows = disp.anisotropy_sweep(args.grid, args.k, args.delta, args.r, args.angles)
+    try:
+        rows = disp.anisotropy_sweep(args.grid, args.k, args.delta, args.r, args.angles)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     with open(out / "anisotropy.csv", "w", newline="", encoding="ascii") as f:
         w = csv.writer(f)
         w.writerow(["theta", "ratio_s", "ratio_p"])

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -50,10 +51,14 @@ class DispersionConfig:
             raise ValueError(f"grid must be one of {PERIODIC_GRIDS}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be > 0")
-        if self.speed_ratio <= np.sqrt(2.0):
+        if not self.speed_ratio > np.sqrt(2.0):
             raise ValueError("speed ratio r = c_p/c_s must exceed sqrt(2)")
+        if not self.rho > 0:
+            raise ValueError("rho must be > 0")
+        if not self.c_p > 0:
+            raise ValueError("c_p must be > 0")
         if not 0.0 <= self.theta < 2.0 * np.pi:
             raise ValueError("theta must lie in [0, 2 pi)")
         if not 0.0 < self.q_rel <= 1.0:
@@ -79,9 +84,15 @@ class DispersionConfig:
 
 @dataclass(frozen=True)
 class BlochReduction:
-    projector: np.ndarray
     mass: np.ndarray
     stiffness: np.ndarray
+    wavevector: np.ndarray
+    _plan: "_BlochPlan" = field(repr=False)
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Dense complex projection P (vector DOFs x reduced DOFs), built on demand."""
+        return self._plan.projector(self.wavevector)
 
 
 @dataclass
@@ -107,59 +118,94 @@ def reference_system(grid: str, degree: int, material: Material) -> GlobalSystem
     return assemble_global(mesh, degree, material, eliminate_dirichlet=False)
 
 
-def _scalar_master_slave(system: GlobalSystem):
-    """Classify scalar DOFs of the periodic cell into masters and phased slaves."""
-    mesh = system.mesh
-    dofmap = system.dofmap
-    if mesh.periodic is None:
-        raise ValueError("mesh carries no periodic pairing")
-    pairs = {}  # slave scalar dof -> (master scalar dof, offset)
-    for v, (mv, off) in mesh.periodic.vertex_master.items():
-        pairs[int(v)] = (int(mv), off)
-    for e, (me, off) in mesh.periodic.edge_master.items():
-        for src, dst in zip(dofmap.edge_dofs(int(e)), dofmap.edge_dofs(int(me))):
-            pairs[int(src)] = (int(dst), off)
-    masters = np.array([d for d in range(dofmap.n_scalar) if d not in pairs], dtype=int)
-    return masters, pairs
+class _BlochPlan:
+    """The wavevector-independent half of the Bloch reduction of one system.
+
+    Every scalar DOF is a master or the phased copy of one, at a translation
+    ``offset``; ``col`` gives the reduced column of each vector DOF.  The distinct
+    offsets are few (at most 4 on a periodic cell), so the offset difference of a
+    matrix entry is one of a small table of classes; for M and K the plan keeps
+    the COO entries with their flat reduced index ``col[r] * n + col[c]`` and
+    their class."""
+
+    def __init__(self, system: GlobalSystem):
+        mesh, dofmap = system.mesh, system.dofmap
+        if mesh.periodic is None:
+            raise ValueError("mesh carries no periodic pairing")
+        n_s = dofmap.n_scalar
+        master = np.arange(n_s)
+        offset = np.zeros((n_s, 2))
+        is_slave = np.zeros(n_s, dtype=bool)
+        for v, (mv, off) in mesh.periodic.vertex_master.items():
+            master[v], offset[v], is_slave[v] = mv, off, True
+        for e, (me, off) in mesh.periodic.edge_master.items():
+            s = dofmap.edge_dofs(int(e))
+            master[s], offset[s], is_slave[s] = dofmap.edge_dofs(int(me)), off, True
+        chained = np.flatnonzero(is_slave & is_slave[master])
+        if len(chained):
+            s = chained[0]
+            raise ValueError(f"slave dof {s} chained to another slave {master[s]}")
+        masters = np.flatnonzero(~is_slave)
+        n_m = len(masters)
+        col = np.empty(n_s, dtype=np.intp)
+        col[masters] = np.arange(n_m)
+        col = col[master]
+        self.n = 2 * n_m
+        self.col = np.concatenate([col, col + n_m])
+        self.offset = np.concatenate([offset, offset])
+        offsets, cls = np.unique(offset, axis=0, return_inverse=True)
+        cls = np.tile(cls.ravel(), 2).astype(np.uint8)
+        n_off = len(offsets)
+        # class a * n_off + b holds the entries from offset a (row) to b (column)
+        self.diff = (offsets[None, :, :] - offsets[:, None, :]).reshape(-1, 2)
+        self.entries = []
+        for a in (system.mass, system.stiffness):
+            a = a.tocoo()
+            self.entries.append((a.data, self.col[a.row] * self.n + self.col[a.col],
+                                 cls[a.row] * n_off + cls[a.col]))
+
+    def reduce(self, kvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P^H M P, P^H K P) at the wavevector ``kvec``: one phase per offset
+        class, exactly 1 for a zero difference, then one scatter per matrix."""
+        phase = np.exp(1j * (kvec[0] * self.diff[:, 0] + kvec[1] * self.diff[:, 1]))
+        nn = self.n * self.n
+        out = []
+        for data, idx, cls in self.entries:
+            w = data * phase[cls]
+            red = (np.bincount(idx, w.real, nn)
+                   + 1j * np.bincount(idx, w.imag, nn)).reshape(self.n, self.n)
+            out.append(0.5 * (red + red.conj().T))
+        return out[0], out[1]
+
+    def projector(self, kvec: np.ndarray) -> np.ndarray:
+        p = np.zeros((len(self.col), self.n), dtype=complex)
+        p[np.arange(len(self.col)), self.col] = np.exp(
+            1j * (kvec[0] * self.offset[:, 0] + kvec[1] * self.offset[:, 1]))
+        return p
+
+
+# one plan per live system; an entry goes when its system is collected
+_PLANS = weakref.WeakKeyDictionary()
 
 
 def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction:
-    """Complex projection P with P[slave, master] = exp(i k . offset), and the
-    reduced Hermitian pencil (P^H K P, P^H M P).
+    """Reduced Hermitian pencil (P^H K P, P^H M P) of the complex projection P
+    with P[slave, master] = exp(i k . offset).
 
     Each row r of P holds one entry, in column col[r], so P^H A P is a scatter
     of the sparse entries A[r, c] exp(i k . (offset[c] - offset[r])) into
-    (col[r], col[c]): O(nnz) work with no dense product.  The phase of an entry
-    comes from the offset difference, so it is exactly 1 when both DOFs carry
-    the same offset."""
-    masters, pairs = _scalar_master_slave(system)
-    n_scalar = system.dofmap.n_scalar
-    col = np.empty(n_scalar, dtype=int)
-    col[masters] = np.arange(len(masters))
-    off = np.zeros((n_scalar, 2))
-    for s, (m, o) in pairs.items():
-        if m in pairs:
-            raise ValueError(f"slave dof {s} chained to another slave {m}")
-        col[s] = col[m]
-        off[s] = o
-    n = 2 * len(masters)
-    col = np.concatenate([col, col + len(masters)])
-    off = np.concatenate([off, off])
-    kvec = np.asarray(wavevector, dtype=float)
-    p = np.zeros((2 * n_scalar, n), dtype=complex)
-    phase = np.exp(1j * (kvec[0] * off[:, 0] + kvec[1] * off[:, 1]))
-    p[np.arange(2 * n_scalar), col] = phase
-
-    def reduce(a) -> np.ndarray:
-        a = a.tocoo()
-        d = off[a.col] - off[a.row]
-        w = a.data * np.exp(1j * (kvec[0] * d[:, 0] + kvec[1] * d[:, 1]))
-        idx = col[a.row] * n + col[a.col]
-        red = (np.bincount(idx, w.real, n * n)
-               + 1j * np.bincount(idx, w.imag, n * n)).reshape(n, n)
-        return 0.5 * (red + red.conj().T)
-
-    return BlochReduction(p, reduce(system.mass), reduce(system.stiffness))
+    (col[r], col[c]): O(nnz) work with no dense product.  The master/slave map,
+    the COO entries, their reduced indices and offset classes are built once
+    per system (on the first call) and cached while the system lives; each call
+    then evaluates one phase per offset class, exactly 1 when both DOFs carry
+    the same offset, and scatters M and K.  P itself is built only when the
+    ``projector`` property is read."""
+    plan = _PLANS.get(system)
+    if plan is None:
+        plan = _PLANS[system] = _BlochPlan(system)
+    kvec = np.array(wavevector, dtype=float)
+    mass, stiffness = plan.reduce(kvec)
+    return BlochReduction(mass, stiffness, kvec, plan)
 
 
 def _identify_modes(eigenvalues: np.ndarray, omega_exact: float,
@@ -272,13 +318,24 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
                   n_angles: int = 64, rho: float = 1.0,
                   c_p: float = float(np.sqrt(2.0))) -> float:
     """q_CFL = 2 c_P / (h sqrt(Lambda_max)) with Lambda_max the largest reduced
-    eigenvalue over a uniform sweep of propagation angles; each pencil is asked
-    for its largest eigenvalue only."""
-    material = Material.from_wave_speeds(rho, c_p, speed_ratio)
+    eigenvalue over ``n_angles`` uniformly spaced propagation angles; each
+    pencil is asked for its largest eigenvalue only.
+
+    M and K are real, so the reduced pencil at -k is the complex conjugate of
+    the one at k and has the same spectrum: for an even ``n_angles`` only the
+    first half-circle is solved, as theta + pi is in the set.  The parameters
+    are validated by ``DispersionConfig``."""
+    if n_angles < 1:
+        raise ValueError(f"n_angles must be >= 1 (got {n_angles})")
+    config = DispersionConfig(grid, degree, delta, 0.0, speed_ratio, rho=rho, c_p=c_p)
+    material = config.material
     system = reference_system(grid, degree, material)
-    knorm = 2.0 * np.pi * degree * delta
+    knorm = config.wavenumber()
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    if n_angles % 2 == 0:
+        thetas = thetas[:n_angles // 2]
     lam_max = 0.0
-    for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+    for theta in thetas:
         kvec = knorm * np.array([np.cos(theta), np.sin(theta)])
         red = bloch_reduce(system, kvec)
         n = red.mass.shape[0]
@@ -293,7 +350,7 @@ def anisotropy_sweep(grid: str, degree: int, delta: float, speed_ratio: float,
                      c_p: float = float(np.sqrt(2.0))) -> list[dict]:
     """Velocity ratios c_{X,h}/c_X per propagation angle (CSV-ready rows)."""
     if n_angles < 8:
-        raise ValueError("n_angles must be >= 8")
+        raise ValueError(f"n_angles must be >= 8 (got {n_angles})")
     rows = []
     for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
         cfg = DispersionConfig(grid, degree, delta, float(theta), speed_ratio,

@@ -80,12 +80,31 @@ class TestCflCommand:
         assert len(lines) == 3
 
 
+    # validated by DispersionConfig, as for `vemwave dispersion`
+    @pytest.mark.parametrize("flag, value, word", [("--delta", "0", "delta"),
+                                                   ("--delta", "-0.2", "delta"),
+                                                   ("--r", "1.0", "speed ratio")])
+    def test_bad_parameter_exit_2(self, tmp_path, capsys, flag, value, word):
+        code = main(["cfl", "--grids", "quad", "--kmin", "1", "--kmax", "1",
+                     f"{flag}={value}", "--out", str(tmp_path)])
+        assert code == 2
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "cfl.csv").exists()
+
+
 class TestAnisotropyCommand:
     def test_runs(self, tmp_path):
         code = main(["anisotropy", "--grid", "quad", "--k", "1", "--delta", "0.2",
                      "--angles", "8", "--out", str(tmp_path)])
         assert code == 0
         assert len((tmp_path / "anisotropy.csv").read_text().splitlines()) == 9
+
+    def test_too_few_angles_exit_2(self, tmp_path, capsys):
+        code = main(["anisotropy", "--grid", "quad", "--k", "1", "--angles", "4",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "n_angles" in capsys.readouterr().err
+        assert not (tmp_path / "anisotropy.csv").exists()
 
 
 class TestSolveCommand:

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
+from vemwave import dispersion
 from vemwave.assembly import Material, assemble_global
 from vemwave.dispersion import (
     DispersionConfig,
@@ -77,6 +81,54 @@ class TestScatterReductionOracle:
                 # stiffness of the lowest degrees is zero up to round-off
                 assert np.abs(reduced - dense).max() <= 1e-13 * abs(a).max()
                 assert np.abs(reduced - reduced.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    def test_minus_wavevector_is_conjugate_pencil(self, grid):
+        """M and K are real, so the pencil at -k is the conjugate of the one at
+        k, and both have one spectrum: the half-circle CFL sweep rests on it."""
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        system = reference_system(grid, 2, mat)
+        kvec = np.array([1.1, -0.4])
+        plus, minus = bloch_reduce(system, kvec), bloch_reduce(system, -kvec)
+        for a, b in ((plus.mass, minus.mass), (plus.stiffness, minus.stiffness)):
+            assert np.abs(b - a.conj()).max() <= 1e-14 * np.abs(a).max()
+        for red in (plus, minus):
+            assert la.eigvalsh(red.mass).min() > 0
+        lam_plus = la.eigh(plus.stiffness, plus.mass, eigvals_only=True)
+        lam_minus = la.eigh(minus.stiffness, minus.mass, eigvals_only=True)
+        assert np.abs(lam_plus - lam_minus).max() <= 1e-12 * lam_plus.max()
+
+    def test_plan_cached_per_system(self):
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        system = assemble_global(reference_periodic_cell("c3", 1.0), 2, mat,
+                                 eliminate_dirichlet=False)
+        kvec = np.array([0.9, -1.3])
+        first, second = bloch_reduce(system, kvec), bloch_reduce(system, kvec)
+        assert first._plan is second._plan
+        twin = assemble_global(reference_periodic_cell("c3", 1.0), 2, mat,
+                               eliminate_dirichlet=False)
+        fresh = bloch_reduce(twin, kvec)
+        assert fresh._plan is not first._plan
+        for red in (second, fresh):
+            assert red.mass.tobytes() == first.mass.tobytes()
+            assert red.stiffness.tobytes() == first.stiffness.tobytes()
+        # the cache holds no strong reference: the plan goes with its system
+        gc.collect()
+        n_plans = len(dispersion._PLANS)
+        refs = [weakref.ref(system), weakref.ref(twin)]
+        del system, twin
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(dispersion._PLANS) == n_plans - 2
+
+    def test_chained_slave_rejected(self):
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        mesh = reference_periodic_cell("quad", 1.0)
+        (first, (_, off)), (second, _) = list(mesh.periodic.vertex_master.items())[:2]
+        mesh.periodic.vertex_master[second] = (first, off)
+        system = assemble_global(mesh, 1, mat, eliminate_dirichlet=False)
+        with pytest.raises(ValueError, match="chained"):
+            bloch_reduce(system, np.array([0.3, 0.1]))
 
     def test_reference_system_cached(self):
         # two equal but distinct Material instances share one cache entry
@@ -201,6 +253,31 @@ class TestCflParameter:
         q = cfl_parameter(grid, degree, 0.2, 2.0, n_angles=16)
         assert abs(q - expected) <= 1e-13 * expected
 
+    @pytest.mark.parametrize("grid, degree", [("tria", 2), ("c4", 2)])
+    def test_odd_angle_count_sweeps_full_circle(self, grid, degree):
+        # theta + pi is not in an odd set of angles: every angle is solved
+        # (on tria at k = 2 the first eight of 15 angles miss lambda_max by 0.9 %)
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        system = reference_system(grid, degree, mat)
+        lam_max = 0.0
+        for theta in np.linspace(0.0, 2.0 * np.pi, 15, endpoint=False):
+            kvec = 2.0 * np.pi * degree * 0.2 * np.array([np.cos(theta), np.sin(theta)])
+            red = bloch_reduce(system, kvec)
+            lam_max = max(lam_max, la.eigh(red.stiffness, red.mass, eigvals_only=True)[-1])
+        expected = 2.0 * mat.c_p / np.sqrt(lam_max)
+        q = cfl_parameter(grid, degree, 0.2, 2.0, n_angles=15)
+        assert abs(q - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("kwargs, word", [
+        (dict(delta=0.0), "delta"), (dict(delta=-0.2), "delta"),
+        (dict(speed_ratio=1.0), "speed ratio"), (dict(grid="nope"), "grid"),
+        (dict(degree=0), "degree"), (dict(n_angles=0), "n_angles"),
+        (dict(rho=0.0), "rho"), (dict(c_p=-1.0), "c_p")])
+    def test_validation(self, kwargs, word):
+        args = dict(grid="quad", degree=1, delta=0.2, speed_ratio=2.0)
+        with pytest.raises(ValueError, match=word):
+            cfl_parameter(**{**args, **kwargs})
+
     def test_monotone_decay_in_k(self):
         values = [cfl_parameter("quad", k, 0.2, 2.0, n_angles=16) for k in range(1, 7)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -258,3 +335,7 @@ class TestSweepsAndCsv:
             DispersionConfig("nope", 1, 0.2, 0.0, 2.0)
         with pytest.raises(ValueError):
             DispersionConfig("quad", 1, 0.2, 7.0, 2.0)
+        with pytest.raises(ValueError, match="rho"):
+            DispersionConfig("quad", 1, 0.2, 0.0, 2.0, rho=0.0)
+        with pytest.raises(ValueError, match="c_p"):
+            DispersionConfig("quad", 1, 0.2, 0.0, 2.0, c_p=0.0)

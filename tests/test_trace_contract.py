@@ -2,9 +2,11 @@
 
 ``perfbench/spans.py`` traces vemwave by rebinding the functions it lists in
 ``TRACED``, and its element counter reads one entry per cell, each with a float
-``projector_condition``, from ``build_element_operators``.  A refactor that
-renames or moves one of those functions, or changes that return value, would
-silently break ``perfbench/run.py --trace 1``; these tests catch it.
+``projector_condition``, from ``build_element_operators``; its pencil counter
+counts ``dispersion.bloch_reduce`` calls made through the module namespace.  A
+refactor that renames or moves one of those functions, changes that return
+value or calls them by a local name, would silently break
+``perfbench/run.py --trace 1``; these tests catch it.
 """
 import importlib
 import importlib.util
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import vemwave.assembly as assembly
+import vemwave.dispersion as dispersion
 from vemwave.mesh import generate_family
 from vemwave.projectors import build_element_operators
 
@@ -57,3 +60,17 @@ def test_tracer_sees_element_build_in_assembly(spans):
     assert "projectors.build_element_operators" in names
     assert tracer.counts["projectors.elements"] == mesh.n_cells
     assert tracer.extrema["projectors.max_condition"] > 1.0
+
+
+def test_tracer_counts_cfl_pencils(spans):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # bloch_reduce is called through the module namespace, so each pencil
+        # is a span; 16 angles are half-circle symmetric, so 8 are solved
+        dispersion.cfl_parameter("quad", 2, 0.2, 2.0, n_angles=16)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("dispersion.bloch_reduce") == 8
+    assert tracer.counts["dispersion.pencils"] == 8
