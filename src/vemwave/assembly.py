@@ -68,11 +68,10 @@ def local_mass(ops: ElementOperators | ElementGroup, material: Material) -> np.n
     return out
 
 
-def local_stiffness(ops: ElementOperators | ElementGroup, material: Material, *,
-                    stabilization: str = "nabla") -> np.ndarray:
+def local_stiffness(ops: ElementOperators | ElementGroup, material: Material) -> np.ndarray:
     """Local vector stiffness: the four consistency blocks built from the projected
     derivatives Pi0x/Pi0y paired through the degree k-1 Gram matrix, plus
-    max(2 mu, lambda) (I - Pi)^T (I - Pi) per component (Pi elliptic by default).
+    max(2 mu, lambda) (I - PiNabla)^T (I - PiNabla) per component.
     One cell's matrix for a view, (G, 2n, 2n) for a group."""
     mu, lam = material.mu, material.lam
     h = ops.grams.mass[..., :ops.n_km1, :ops.n_km1]
@@ -84,12 +83,7 @@ def local_stiffness(ops: ElementOperators | ElementGroup, material: Material, *,
     k_dndn = mu * xx + (2.0 * mu + lam) * yy
     k_updn = mu * mT(xy) + lam * xy
 
-    if stabilization == "nabla":
-        s = np.eye(ops.layout.n_total) - ops.dof_projector_elliptic()
-    elif stabilization == "l2":
-        s = np.eye(ops.layout.n_total) - ops.dof_projector_l2()
-    else:
-        raise ValueError("stabilization must be 'nabla' or 'l2'")
+    s = np.eye(ops.layout.n_total) - ops.dof_projector_elliptic()
     k_stab = max(2.0 * mu, lam) * (mT(s) @ s)
 
     n = ops.layout.n_total
@@ -125,8 +119,6 @@ class GlobalSystem:
         self.mass = sp.block_diag((scalar_mass, scalar_mass), format="csr")
         self.stiffness = stiffness
         self.free = free
-        self.full_to_free = np.full(dofmap.n_vector, -1, dtype=int)
-        self.full_to_free[free] = np.arange(len(free))
 
     @property
     def n_free(self) -> int:
@@ -163,16 +155,14 @@ def _scatter(groups, dofs, local, size: int) -> sp.csr_matrix:
 
 def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
                     eliminate_dirichlet: bool = True,
-                    basis_kind: str = "monomial",
-                    stabilization: str = "nabla") -> GlobalSystem:
+                    basis_kind: str = "monomial") -> GlobalSystem:
     dofmap = DofMap(mesh, degree)
     ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
     groups = [ops[cells.index[0]].group for cells in mesh.cell_groups()]
     n, n_s = dofmap.n_vector, dofmap.n_scalar
     sdofs = [dofmap.group_scalar_dofs(group.cells) for group in groups]
     stiff = _scatter(groups, [np.concatenate([d, d + n_s], axis=1) for d in sdofs],
-                     lambda group: local_stiffness(group, material,
-                                                   stabilization=stabilization), n)
+                     lambda group: local_stiffness(group, material), n)
     mass = _scatter(groups, sdofs,
                     lambda group: local_scalar_mass(group, material), n_s)
 

@@ -2,6 +2,8 @@
 reference cells, and a plain-text file format."""
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,96 +88,123 @@ class PeriodicPairing:
 class PolygonalMesh:
     """Immutable planar mesh of simple polygons with a global, fixed edge orientation.
 
-    Edges are oriented from their lexicographically smaller endpoint (by coordinate),
-    which is translation invariant and therefore consistent across periodic images.
+    Edges are numbered by first appearance along the cell loops and oriented from
+    their lexicographically smaller endpoint (by coordinate), which is translation
+    invariant and therefore consistent across periodic images.  The loops, their
+    edges and their orientation signs are stored once, as flat arrays over all loop
+    positions: cell ``c`` owns positions ``cell_offsets[c]:cell_offsets[c + 1]``.
     """
 
     def __init__(self, vertices, cells, boundary_tags=None):
         self.vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
-        self.cells = [np.asarray(c, dtype=int) for c in cells]
+        cells = list(cells)
+        counts = np.fromiter(map(len, cells), dtype=int, count=len(cells))
+        self.cell_offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.loop_vertices = np.fromiter(itertools.chain.from_iterable(cells), dtype=int,
+                                         count=self.cell_offsets[-1])
         self.periodic: PeriodicPairing | None = None
-        self._geometry_cache: dict[int, ElementGeometry] = {}
         self._cell_groups: tuple[CellGroup, ...] | None = None
-        self._build_connectivity()
-        self._apply_boundary_tags(boundary_tags)
+        self._validate_cells(counts)
+        self._apply_boundary_tags(boundary_tags, *self._number_edges())
 
     # -- construction ------------------------------------------------------
 
-    def _lex_less(self, a: int, b: int) -> bool:
-        pa, pb = self.vertices[a], self.vertices[b]
-        if pa[0] != pb[0]:
-            return pa[0] < pb[0]
-        return pa[1] < pb[1]
+    def _positions(self, index: np.ndarray) -> np.ndarray:
+        """Loop positions (G, n) of the cells ``index``, which share one vertex count n."""
+        start = self.cell_offsets[index]
+        return start[:, None] + np.arange(self.cell_offsets[index[0] + 1] - start[0])
 
-    def _build_connectivity(self):
+    def _validate_cells(self, counts: np.ndarray):
+        """Raise for the lowest invalid cell, naming the first check it fails."""
         nv = len(self.vertices)
-        for ci, cell in enumerate(self.cells):
-            if len(cell) < 3:
-                raise MeshError(f"cell {ci} has fewer than 3 vertices", cell=ci)
-            if cell.min() < 0 or cell.max() >= nv:
-                raise MeshError(f"cell {ci} references a missing vertex", cell=ci)
-            if len(np.unique(cell)) != len(cell):
-                raise MeshError(f"cell {ci} repeats a vertex", cell=ci)
-            area = _signed_area(self.vertices[cell])
-            if area <= 0:
-                raise MeshError(f"cell {ci} is not counterclockwise (signed area {area:g})",
-                                cell=ci)
+        missing, repeats = np.zeros((2, len(counts)), dtype=bool)
+        area = np.zeros(len(counts))
+        for n in np.unique(counts):
+            index = np.flatnonzero(counts == n)
+            ids = self.loop_vertices[self._positions(index)]
+            ids_sorted = np.sort(ids, axis=1)
+            missing[index] = ((ids < 0) | (ids >= nv)).any(axis=1)
+            repeats[index] = (ids_sorted[:, 1:] == ids_sorted[:, :-1]).any(axis=1)
+            ok = ~missing[index]
+            area[index[ok]] = _signed_area(self.vertices[ids[ok]])
+        checks = (counts < 3, missing, repeats, area <= 0)
+        bad = np.logical_or.reduce(checks)
+        if not bad.any():
+            return
+        ci = int(np.argmax(bad))
+        messages = ("has fewer than 3 vertices", "references a missing vertex",
+                    "repeats a vertex",
+                    f"is not counterclockwise (signed area {area[ci]:g})")
+        message = next(m for check, m in zip(checks, messages) if check[ci])
+        raise MeshError(f"cell {ci} {message}", cell=ci)
 
-        edge_index: dict[tuple[int, int], int] = {}
-        edges = []
-        edge_cells = []
-        cell_edges = []
-        cell_edge_signs = []
-        for ci, cell in enumerate(self.cells):
-            n = len(cell)
-            eids = np.empty(n, dtype=int)
-            signs = np.empty(n, dtype=int)
-            for k in range(n):
-                a, b = int(cell[k]), int(cell[(k + 1) % n])
-                key = (min(a, b), max(a, b))
-                if key not in edge_index:
-                    if self._lex_less(a, b):
-                        edges.append((a, b))
-                    else:
-                        edges.append((b, a))
-                    edge_index[key] = len(edges) - 1
-                    edge_cells.append([ci])
-                else:
-                    owners = edge_cells[edge_index[key]]
-                    if len(owners) >= 2:
-                        raise MeshError(
-                            f"edge {key} is shared by more than two cells ({owners + [ci]})",
+    def _number_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Number the edges by first appearance along the loops and set ``edges``,
+        ``edge_cells``, ``loop_edges`` and ``loop_signs``; returns the sorted
+        edge keys min·n_v + max, the k-th of which names edge ``key_edge[k]``."""
+        nv = len(self.vertices)
+        a = self.loop_vertices
+        offsets = self.cell_offsets
+        nxt = np.arange(1, len(a) + 1)
+        nxt[offsets[1:] - 1] = offsets[:-1]
+        b = a[nxt]
+        keys, first, inverse, count = np.unique(
+            np.minimum(a, b) * nv + np.maximum(a, b),
+            return_index=True, return_inverse=True, return_counts=True)
+        by_first = np.argsort(first)
+        key_edge = np.empty(len(keys), dtype=int)
+        key_edge[by_first] = np.arange(len(keys))
+        edge = key_edge[inverse]
+
+        # orientation from the lexicographically smaller endpoint of the first loop edge
+        start = first[by_first]
+        pa, pb = self.vertices[a[start]], self.vertices[b[start]]
+        less = (pa[:, 0] < pb[:, 0]) | ((pa[:, 0] == pb[:, 0]) & (pa[:, 1] < pb[:, 1]))
+        first_ab = np.stack([a[start], b[start]], axis=1)
+        self.edges = np.where(less[:, None], first_ab, first_ab[:, ::-1])
+        self.loop_edges = edge
+        self.loop_signs = np.where(self.edges[edge, 0] == a, 1, -1)
+
+        # the j-th appearance of an edge along the loops is its owner j
+        cell_of = np.repeat(np.arange(self.n_cells), np.diff(offsets))
+        by_edge = np.argsort(edge, kind="stable")
+        count = count[by_first]
+        head = np.cumsum(count) - count
+        owner = np.arange(len(a)) - np.repeat(head, count)
+        extra = by_edge[owner >= 2]
+        if len(extra):
+            third = extra.min()
+            pair = cell_of[by_edge[head[edge[third]] + np.arange(2)]].tolist()
+            key = tuple(sorted((int(a[third]), int(b[third]))))
+            ci = int(cell_of[third])
+            raise MeshError(f"edge {key} is shared by more than two cells ({pair + [ci]})",
                             cell=ci)
-                    owners.append(ci)
-                e = edge_index[key]
-                eids[k] = e
-                signs[k] = 1 if edges[e][0] == a else -1
-            cell_edges.append(eids)
-            cell_edge_signs.append(signs)
+        self.edge_cells = np.full((len(keys), 2), -1, dtype=int)
+        self.edge_cells[edge[by_edge], owner] = cell_of[by_edge]
+        return keys, key_edge
 
-        self.edges = np.asarray(edges, dtype=int)
-        self.cell_edges = cell_edges
-        self.cell_edge_signs = cell_edge_signs
-        self.edge_cells = np.full((len(edges), 2), -1, dtype=int)
-        for e, owners in enumerate(edge_cells):
-            for j, c in enumerate(owners):
-                self.edge_cells[e, j] = c
-
-    def _apply_boundary_tags(self, boundary_tags):
-        self.edge_tags = np.array(
-            [INTERIOR if self.edge_cells[e, 1] >= 0 else DIRICHLET
-             for e in range(self.n_edges)], dtype=object)
-        if boundary_tags:
-            lookup = {tuple(sorted(k)): v for k, v in boundary_tags.items()}
-            for e in range(self.n_edges):
-                key = tuple(sorted(map(int, self.edges[e])))
-                if key in lookup:
-                    if self.edge_cells[e, 1] >= 0:
-                        raise MeshError(f"edge {key} is interior but was given a boundary tag",
-                                        edge=key)
-                    self.edge_tags[e] = lookup[key]
+    def _apply_boundary_tags(self, boundary_tags, keys, key_edge):
+        self.edge_tags = np.where(self.edge_cells[:, 1] >= 0,
+                                  INTERIOR, DIRICHLET).astype(object)
+        if not boundary_tags:
+            return
+        nv = len(self.vertices)
+        lookup = {tuple(sorted(map(int, k))): v for k, v in boundary_tags.items()}
+        tagged = np.array([a * nv + b if 0 <= a < b < nv else -1 for a, b in lookup],
+                          dtype=np.int64)
+        found = np.isin(tagged, keys)
+        if not found.all():
+            key = list(lookup)[int(np.argmin(found))]
+            raise MeshError(f"boundary tag names no mesh edge {key}", edge=key)
+        edges = key_edge[np.searchsorted(keys, tagged)]
+        interior = self.edge_cells[edges, 1] >= 0
+        if interior.any():
+            e = edges[interior].min()
+            key = tuple(sorted(map(int, self.edges[e])))
+            raise MeshError(f"edge {key} is interior but was given a boundary tag", edge=key)
+        self.edge_tags[edges] = list(lookup.values())
 
     # -- queries -----------------------------------------------------------
 
@@ -189,30 +218,28 @@ class PolygonalMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_offsets) - 1
+
+    @functools.cached_property
+    def cells(self) -> list[np.ndarray]:
+        """The vertex loop of each cell, as views into ``loop_vertices``."""
+        bounds = self.cell_offsets
+        return [self.loop_vertices[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
 
     def boundary_edges(self) -> np.ndarray:
         return np.where(self.edge_cells[:, 1] < 0)[0]
 
-    def cell_geometry(self, ci: int) -> ElementGeometry:
-        geo = self._geometry_cache.get(ci)
-        if geo is None:
-            geo = polygon_geometry(self.vertices[self.cells[ci]])
-            self._geometry_cache[ci] = geo
-        return geo
-
     def cell_group(self, index) -> CellGroup:
         """The cells ``index``, which must share one vertex count, as a CellGroup."""
         index = np.asarray(index, dtype=int)
-        return CellGroup(index,
-                         np.array([self.cells[c] for c in index], dtype=int),
-                         np.array([self.cell_edges[c] for c in index], dtype=int),
-                         np.array([self.cell_edge_signs[c] for c in index], dtype=int))
+        pos = self._positions(index)
+        return CellGroup(index, self.loop_vertices[pos], self.loop_edges[pos],
+                         self.loop_signs[pos])
 
     def cell_groups(self) -> tuple[CellGroup, ...]:
         """All cells, one CellGroup per vertex count, by ascending vertex count."""
         if self._cell_groups is None:
-            counts = np.array([len(c) for c in self.cells])
+            counts = np.diff(self.cell_offsets)
             self._cell_groups = tuple(self.cell_group(np.flatnonzero(counts == n))
                                       for n in np.unique(counts))
         return self._cell_groups
@@ -222,9 +249,10 @@ class PolygonalMesh:
                          for g in self.cell_groups()))
 
 
-def _signed_area(loop: np.ndarray) -> float:
-    x, y = loop[:, 0], loop[:, 1]
-    return 0.5 * float((x * np.roll(y, -1) - np.roll(x, -1) * y).sum())
+def _signed_area(loop: np.ndarray):
+    """Signed area of vertex loops (..., n, 2)."""
+    x, y = loop[..., 0], loop[..., 1]
+    return 0.5 * (x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y).sum(axis=-1)
 
 
 def _cross2(a, b) -> float:
@@ -283,14 +311,12 @@ def validate_regularity(mesh: PolygonalMesh, rho_star: float) -> RegularityRepor
     worst_cell = -1
     for ci, cell in enumerate(mesh.cells):
         loop = mesh.vertices[cell]
-        if len(np.unique(cell)) != len(cell):
-            raise MeshError(f"cell {ci} repeats a vertex")
         dists = np.hypot(*(loop - np.roll(loop, -1, axis=0)).T)
         if dists.min() < 1e-14 * max(dists.max(), 1.0):
             raise MeshError(f"cell {ci} has a degenerate (zero-length) edge")
         if not _is_simple_polygon(loop):
             raise MeshError(f"cell {ci} is not a simple polygon")
-        geo = mesh.cell_geometry(ci)
+        geo = polygon_geometry(loop)
         c = geo.centroid
         n = len(loop)
         inradius = np.inf
@@ -348,13 +374,8 @@ def _random_quad_mesh(n: int, seed: int) -> PolygonalMesh:
                             np.where(interior_x, shift[:, 0], 0.0))
     verts[:, 1] += np.where(interior_x & interior_y, shift[:, 1],
                             np.where(interior_y, shift[:, 1], 0.0))
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00 = i * (n + 1) + j
-            v10 = (i + 1) * (n + 1) + j
-            cells.append([v00, v10, v10 + 1, v00 + 1])
-    return PolygonalMesh(verts, cells)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return PolygonalMesh(verts, np.stack([v00, v00 + n + 1, v00 + n + 2, v00 + 1], axis=1))
 
 
 class _CellCollector:
@@ -388,9 +409,6 @@ class _CellCollector:
             ids.pop()
         if len(ids) >= 3:
             self.cells.append(ids)
-
-    def mesh(self) -> PolygonalMesh:
-        return PolygonalMesh(np.asarray(self.vertices), self.cells)
 
 
 def _clip_halfplane(loop, normal, offset):
@@ -450,12 +468,11 @@ def _hexagonal_mesh(m: int, seed: int) -> PolygonalMesh:
     col = _CellCollector(snap=1e-9 / m)
     for piece in _honeycomb_cells(m):
         col.add(piece)
-    mesh = col.mesh()
-    verts = mesh.vertices.copy()
+    verts = np.asarray(col.vertices)
     bump = 0.1 * np.sin(2 * np.pi * verts[:, 0]) * np.sin(2 * np.pi * verts[:, 1])
     verts[:, 0] += bump
     verts[:, 1] += bump
-    return PolygonalMesh(verts, mesh.cells)
+    return PolygonalMesh(verts, col.cells)
 
 
 def _octagon_mesh(n: int) -> PolygonalMesh:
@@ -491,7 +508,7 @@ def _octagon_mesh(n: int) -> PolygonalMesh:
             col.add(np.array([
                 (x0, y0), hmid(i, j), (x1, y0), vmid(i + 1, j),
                 (x1, y1), hmid(i, j + 1), (x0, y1), vmid(i, j)]))
-    return col.mesh()
+    return PolygonalMesh(col.vertices, col.cells)
 
 
 def is_convex(loop: np.ndarray) -> bool:
@@ -522,7 +539,7 @@ def reference_periodic_cell(grid: str, h: float = 1.0) -> PolygonalMesh:
     col = _CellCollector(snap=1e-9 * h)
     for loop in builder():
         col.add(np.asarray(loop, dtype=float) * h)
-    mesh = col.mesh()
+    mesh = PolygonalMesh(col.vertices, col.cells)
     _attach_periodic_pairing(mesh, h)
     return mesh
 
@@ -706,7 +723,6 @@ def read_mesh(path) -> PolygonalMesh:
 
     n_cells, ln = section("cells")
     cells, cell_lines = [], []
-    loop_edges = set()
     for _ in range(n_cells):
         line, ln = next_line()
         nums = line.split()
@@ -721,7 +737,6 @@ def read_mesh(path) -> PolygonalMesh:
             raise MeshParseError(path, ln, "cell references a missing vertex")
         cells.append(ids)
         cell_lines.append(ln)
-        loop_edges.update(frozenset(e) for e in zip(ids, ids[1:] + ids[:1]))
 
     n_tags, ln = section("boundary")
     tags, tag_lines = {}, {}
@@ -734,8 +749,6 @@ def read_mesh(path) -> PolygonalMesh:
             key = (int(parts[0]), int(parts[1]))
         except ValueError:
             raise MeshParseError(path, ln, f"bad boundary line {line!r}") from None
-        if frozenset(key) not in loop_edges:
-            raise MeshParseError(path, ln, f"boundary line names no mesh edge {key}")
         tags[key] = parts[2]
         tag_lines[tuple(sorted(key))] = ln
 

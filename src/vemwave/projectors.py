@@ -101,15 +101,10 @@ class DofMap:
         return np.concatenate([s, s + self.n_scalar])
 
     def dirichlet_scalar_dofs(self) -> np.ndarray:
-        fixed = set()
-        for e in self.mesh.boundary_edges():
-            if self.mesh.edge_tags[e] != DIRICHLET:
-                continue
-            a, b = self.mesh.edges[e]
-            fixed.add(int(a))
-            fixed.add(int(b))
-            fixed.update(map(int, self.edge_dofs(int(e))))
-        return np.array(sorted(fixed), dtype=int)
+        """Sorted scalar DOFs on Dirichlet edges: their vertices and edge moments."""
+        edges = np.flatnonzero(self.mesh.edge_tags == DIRICHLET)
+        moments = self.edge_offset + edges[:, None] * self.per_edge + np.arange(self.per_edge)
+        return np.unique(np.concatenate([self.mesh.edges[edges].ravel(), moments.ravel()]))
 
 
 @lru_cache(maxsize=None)

@@ -5,13 +5,18 @@ from hypothesis import strategies as st
 
 from vemwave.mesh import (
     DIRICHLET,
+    FAMILIES,
+    INTERIOR,
     NEUMANN,
     PERIODIC_GRIDS,
+    PERIODIC_MASTER,
+    PERIODIC_SLAVE,
     MeshError,
     MeshParseError,
     PolygonalMesh,
     generate_family,
     is_convex,
+    polygon_geometry,
     read_mesh,
     reference_periodic_cell,
     validate_regularity,
@@ -20,7 +25,76 @@ from vemwave.mesh import (
 
 
 def total_area(mesh):
-    return sum(mesh.cell_geometry(c).area for c in range(mesh.n_cells))
+    return sum(polygon_geometry(mesh.vertices[cell]).area for cell in mesh.cells)
+
+
+def reference_topology(mesh, boundary_tags=None):
+    """Edge numbering by a per-edge dict walk over the loops: edges by first
+    appearance, oriented from the lexicographically smaller endpoint."""
+    index, edges, owners, cell_edges, cell_signs = {}, [], [], [], []
+    for ci, cell in enumerate(mesh.cells):
+        eids, signs = [], []
+        for a, b in zip(map(int, cell), map(int, np.roll(cell, -1))):
+            key = (min(a, b), max(a, b))
+            if key not in index:
+                index[key] = len(edges)
+                lex_less = tuple(mesh.vertices[a]) < tuple(mesh.vertices[b])
+                edges.append((a, b) if lex_less else (b, a))
+                owners.append([])
+            e = index[key]
+            owners[e].append(ci)
+            eids.append(e)
+            signs.append(1 if edges[e][0] == a else -1)
+        cell_edges.append(eids)
+        cell_signs.append(signs)
+    edge_cells = np.array([o + [-1] * (2 - len(o)) for o in owners])
+    tags = [INTERIOR if o[1] >= 0 else DIRICHLET for o in edge_cells]
+    for (a, b), tag in (boundary_tags or {}).items():
+        tags[index[(min(a, b), max(a, b))]] = tag
+    return np.array(edges), cell_edges, cell_signs, edge_cells, tags
+
+
+def reference_pairing(mesh, edges, edge_cells, h):
+    """Periodic slave -> (master, offset) maps found by translating coordinates."""
+    tol = 1e-12 * h
+    boundary = np.flatnonzero(edge_cells[:, 1] < 0)
+    verts = np.unique(edges[boundary])
+    mids = mesh.vertices[edges[boundary]].mean(axis=1)
+
+    def image(points, p):
+        return int(np.argmin(np.abs(points - p).max(axis=1)))
+
+    vertex_master = {}
+    for v in verts:
+        p = mesh.vertices[v]
+        off = np.where(np.abs(p - h) < tol, p, 0.0)
+        if off.any():
+            vertex_master[v] = (verts[image(mesh.vertices[verts], p - off)], tuple(off))
+    edge_master = {}
+    for e, mid in zip(boundary, mids):
+        off = np.where((np.abs(mesh.vertices[edges[e]] - h) < tol).all(axis=0), h, 0.0)
+        if off.any():
+            edge_master[e] = (boundary[image(mids, mid - off)], tuple(off))
+    return vertex_master, edge_master
+
+
+def assert_reference_topology(mesh, boundary_tags=None):
+    edges, cell_edges, cell_signs, edge_cells, tags = reference_topology(mesh, boundary_tags)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.edge_cells, edge_cells)
+    for group in mesh.cell_groups():
+        assert np.array_equal(group.edges, [cell_edges[c] for c in group.index])
+        assert np.array_equal(group.edge_signs, [cell_signs[c] for c in group.index])
+    if mesh.periodic is None:
+        assert list(mesh.edge_tags) == tags
+        return
+    vertex_master, edge_master = reference_pairing(mesh, edges, edge_cells,
+                                                   mesh.periodic.period)
+    assert mesh.periodic.vertex_master == vertex_master
+    assert mesh.periodic.edge_master == edge_master
+    assert list(mesh.edge_tags) == [
+        INTERIOR if c[1] >= 0 else PERIODIC_SLAVE if e in edge_master else PERIODIC_MASTER
+        for e, c in enumerate(edge_cells)]
 
 
 class TestValidation:
@@ -40,6 +114,13 @@ class TestValidation:
     def test_repeated_vertex_rejected(self):
         with pytest.raises(MeshError, match="repeats a vertex"):
             PolygonalMesh([[0, 0], [1, 0], [1, 1]], [[0, 1, 1, 2]])
+
+    @pytest.mark.parametrize("key", [(0, 2), (1, 7), (1, 1), (-1, 0)])
+    def test_tag_naming_no_edge_rejected(self, key):
+        with pytest.raises(MeshError, match="names no mesh edge") as info:
+            PolygonalMesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]],
+                          boundary_tags={(0, 1): NEUMANN, key: NEUMANN})
+        assert info.value.edge == tuple(sorted(key))
 
     def test_clockwise_rejected(self):
         with pytest.raises(MeshError, match="counterclockwise"):
@@ -100,6 +181,28 @@ class TestFamilies:
         mesh = generate_family("random_quad", 0)
         for e in mesh.boundary_edges():
             assert mesh.edge_tags[e] == DIRICHLET
+
+
+class TestTopology:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_family_matches_reference(self, family, level, seed):
+        assert_reference_topology(generate_family(family, level, seed))
+
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    def test_periodic_cell_matches_reference(self, grid):
+        assert_reference_topology(reference_periodic_cell(grid, 1.3))
+
+    def test_round_trip_matches_reference(self, tmp_path):
+        base = generate_family("hexagonal", 1, seed=7)
+        boundary = base.edges[base.boundary_edges()]
+        tags = {tuple(map(int, edge[::-1])): NEUMANN for edge in boundary[::3]}
+        mesh = PolygonalMesh(base.vertices, base.cells, boundary_tags=tags)
+        assert_reference_topology(mesh, tags)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        assert_reference_topology(read_mesh(path), tags)
 
 
 GOLDEN_CELL_COUNTS = {"quad": 1, "tria": 2, "c1": 8, "c2": 5, "c3": 13, "c4": 5}
@@ -226,8 +329,10 @@ class TestMeshIO:
         (["4 0 1 4 3", "4 1 2 5 4", "3 1 4 6"], [], 13, "more than two cells"),
         (["4 0 1 4 3", "4 1 2 5 4"], ["0 1 dirichlet", "4 1 neumann", "2 5 dirichlet"],
          15, "interior"),
+        (["4 0 1 4 4", "4 1 4 5 2"], [], 11, "repeats a vertex"),
+        (["4 0 1 4 3", "3 1 4 6", "4 1 2 5 4"], [], 13, "more than two cells"),
     ], ids=["clockwise-cell", "repeated-vertex", "edge-in-three-cells",
-            "tag-on-interior-edge"])
+            "tag-on-interior-edge", "repeat-before-clockwise", "third-owner-in-file-order"])
     def test_topology_error_names_offending_line(self, tmp_path, cells, boundary,
                                                  line_no, word):
         verts = ["0 0", "1 0", "2 0", "0 1", "1 1", "2 1", "0.5 0.5"]
