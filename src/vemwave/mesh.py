@@ -102,8 +102,12 @@ class PolygonalMesh:
         cells = list(cells)
         counts = np.fromiter(map(len, cells), dtype=int, count=len(cells))
         self.cell_offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.loop_vertices = np.fromiter(itertools.chain.from_iterable(cells), dtype=int,
-                                         count=self.cell_offsets[-1])
+        try:
+            self.loop_vertices = np.fromiter(itertools.chain.from_iterable(cells), dtype=int,
+                                             count=self.cell_offsets[-1])
+        except OverflowError:  # an id beyond int64 names no vertex either: mark it missing
+            nv = len(self.vertices)
+            self.loop_vertices = np.array([v if 0 <= v < nv else -1 for c in cells for v in c])
         self.periodic: PeriodicPairing | None = None
         self._cell_groups: tuple[CellGroup, ...] | None = None
         self._validate_cells(counts)
@@ -255,35 +259,19 @@ def _signed_area(loop: np.ndarray):
     return 0.5 * (x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y).sum(axis=-1)
 
 
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """z-component of u x v for vectors (..., 2)."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _is_simple_polygon(loop: np.ndarray) -> bool:
-    """O(n^2) segment-intersection check; cells are small so this is cheap."""
-    n = len(loop)
-    segs = [(loop[i], loop[(i + 1) % n]) for i in range(n)]
-
-    def intersects(p, q, r, s):
-        d1 = _cross2(q - p, r - p)
-        d2 = _cross2(q - p, s - p)
-        d3 = _cross2(s - r, p - r)
-        d4 = _cross2(s - r, q - r)
-        return (d1 * d2 < 0) and (d3 * d4 < 0)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (i + 1) % n == j or (j + 1) % n == i:
-                continue  # adjacent segments share a vertex
-            if intersects(*segs[i], *segs[j]):
-                return False
-    return True
-
-
-def _point_segment_distance(p, a, b):
-    ab = b - a
-    t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-    return float(np.hypot(*(p - a - t * ab)))
+def _self_crossing(loops: np.ndarray) -> np.ndarray:
+    """True for each loop (G, n, 2) in which two non-adjacent edges cross properly."""
+    n = loops.shape[1]
+    i, j = np.triu_indices(n, 2)
+    i, j = i[j - i < n - 1], j[j - i < n - 1]
+    p, q, r, s = loops[:, i], loops[:, (i + 1) % n], loops[:, j], loops[:, (j + 1) % n]
+    return ((_cross(q - p, r - p) * _cross(q - p, s - p) < 0)
+            & (_cross(s - r, p - r) * _cross(s - r, q - r) < 0)).any(axis=1)
 
 
 @dataclass
@@ -300,42 +288,45 @@ def validate_regularity(mesh: PolygonalMesh, rho_star: float) -> RegularityRepor
 
     Star-shapedness is verified with respect to the cell centroid (a sufficient
     condition); the reported inradius is the largest disk about the centroid that
-    fits in the cell.  Edges are flagged when h_E < rho_star * h_P.
+    fits in the cell.  Edges are flagged when h_E < rho_star * h_P.  The lowest
+    cell with a zero-length edge, or else two crossing edges, raises MeshError.
+    Violations are listed by cell, and within a cell by edge, the edge ratio last.
     """
     if not 0.0 < rho_star < 1.0:
         raise ValueError("rho_star must be in (0, 1)")
-    violations = []
-    star_ok = True
-    edge_ratio_min = np.inf
-    inradius_ratio_min = np.inf
-    worst_cell = -1
-    for ci, cell in enumerate(mesh.cells):
-        loop = mesh.vertices[cell]
-        dists = np.hypot(*(loop - np.roll(loop, -1, axis=0)).T)
-        if dists.min() < 1e-14 * max(dists.max(), 1.0):
-            raise MeshError(f"cell {ci} has a degenerate (zero-length) edge")
-        if not _is_simple_polygon(loop):
-            raise MeshError(f"cell {ci} is not a simple polygon")
+    groups = mesh.cell_groups()
+    loops = [mesh.vertices[g.vertices] for g in groups]
+    fault = np.zeros(mesh.n_cells, dtype=int)  # 1: degenerate edge, 2: not simple
+    for g, loop in zip(groups, loops):
+        diff = loop - np.roll(loop, -1, axis=1)
+        dists = np.hypot(diff[..., 0], diff[..., 1])
+        degenerate = dists.min(axis=1) < 1e-14 * np.maximum(dists.max(axis=1), 1.0)
+        fault[g.index] = np.where(degenerate, 1, 2 * _self_crossing(loop))
+    if fault.any():
+        ci = int(np.argmax(fault > 0))
+        message = ("has a degenerate (zero-length) edge" if fault[ci] == 1
+                   else "is not a simple polygon")
+        raise MeshError(f"cell {ci} {message}", cell=ci)
+
+    ratio_min, inradius_ratio = np.empty((2, mesh.n_cells))
+    blind, short = [], []  # (cell, edge, message); a short edge takes edge n, last
+    for g, loop in zip(groups, loops):
         geo = polygon_geometry(loop)
-        c = geo.centroid
-        n = len(loop)
-        inradius = np.inf
-        for k in range(n):
-            a, b = loop[k], loop[(k + 1) % n]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 0:
-                star_ok = False
-                violations.append((ci, f"centroid does not see edge {k}"))
-            inradius = min(inradius, _point_segment_distance(c, a, b))
-        ratios = geo.edge_lengths / geo.diameter
-        if ratios.min() < edge_ratio_min:
-            edge_ratio_min = float(ratios.min())
-            worst_cell = ci
-        if ratios.min() < rho_star:
-            violations.append((ci, f"edge ratio {ratios.min():.4g} < rho_star"))
-        inradius_ratio_min = min(inradius_ratio_min, inradius / geo.diameter)
-    return RegularityReport(star_ok, edge_ratio_min, float(inradius_ratio_min),
-                            worst_cell, violations)
+        ab = np.roll(loop, -1, axis=1) - loop
+        ac = geo.centroid[:, None, :] - loop
+        t = np.clip((ac * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+        gap = ac - t[..., None] * ab
+        inradius_ratio[g.index] = np.hypot(gap[..., 0], gap[..., 1]).min(axis=1) / geo.diameter
+        ratio_min[g.index] = (geo.edge_lengths / geo.diameter[:, None]).min(axis=1)
+        rows, edges = np.nonzero(_cross(ab, ac) <= 0)
+        blind += [(int(g.index[r]), int(k), f"centroid does not see edge {k}")
+                  for r, k in zip(rows, edges)]
+        short += [(int(ci), loop.shape[1], f"edge ratio {ratio_min[ci]:.4g} < rho_star")
+                  for ci in g.index[ratio_min[g.index] < rho_star]]
+    violations = [(ci, message) for ci, _, message in sorted(blind + short)]
+    worst = int(np.argmin(ratio_min)) if mesh.n_cells else -1
+    return RegularityReport(not blind, float(ratio_min.min(initial=np.inf)),
+                            float(inradius_ratio.min(initial=np.inf)), worst, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +345,7 @@ def generate_family(family: str, level: int, seed: int = 0) -> PolygonalMesh:
     if family == "random_quad":
         return _random_quad_mesh(5 * 2 ** level, seed)
     if family == "hexagonal":
-        return _hexagonal_mesh(2 * 2 ** level, seed)
+        return _hexagonal_mesh(2 * 2 ** level)
     if family == "nonconvex_octagon":
         return _octagon_mesh(5 * 2 ** level)
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -378,47 +369,60 @@ def _random_quad_mesh(n: int, seed: int) -> PolygonalMesh:
     return PolygonalMesh(verts, np.stack([v00, v00 + n + 1, v00 + n + 2, v00 + 1], axis=1))
 
 
-class _CellCollector:
-    """Accumulates vertex loops given by coordinates and snaps shared vertices."""
+def _snap_loops(loops, snap: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Vertices and counterclockwise cells of loops given by coordinates, each loop
+    (n, 2) with n >= 1.
 
-    def __init__(self, snap: float = 1e-9):
-        self.snap = snap
-        self._index: dict[tuple[int, int], int] = {}
-        self.vertices: list[tuple[float, float]] = []
-        self.cells: list[list[int]] = []
+    Clockwise loops are reversed.  Points whose coordinates round to the same
+    multiples of ``snap`` are one vertex, placed at the first of them; vertices are
+    numbered by first appearance along the loops.  Each loop then drops a vertex
+    that repeats the one before it, and a last vertex that repeats the first; a
+    loop left with fewer than 3 vertices is dropped (its vertices stay)."""
+    counts = np.fromiter(map(len, loops), dtype=int, count=len(loops))
+    start = np.cumsum(counts) - counts
+    points = np.concatenate(loops)
+    order = np.arange(len(points))
+    for n in np.unique(counts):
+        pos = start[counts == n, None] + np.arange(n)
+        cw = _signed_area(points[pos]) < 0
+        order[pos[cw]] = pos[cw, ::-1]
+    points = points[order]
 
-    def _vertex(self, p) -> int:
-        key = (round(p[0] / self.snap), round(p[1] / self.snap))
-        i = self._index.get(key)
-        if i is None:
-            i = len(self.vertices)
-            self._index[key] = i
-            self.vertices.append((float(p[0]), float(p[1])))
-        return i
+    keys = np.rint(points / snap).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(len(first))
+    ids = number[inverse.ravel()]
 
-    def add(self, loop: np.ndarray):
-        loop = np.asarray(loop, dtype=float)
-        if _signed_area(loop) < 0:
-            loop = loop[::-1]
-        ids = []
-        for p in loop:
-            i = self._vertex(p)
-            if not ids or ids[-1] != i:
-                ids.append(i)
-        if len(ids) > 1 and ids[0] == ids[-1]:
-            ids.pop()
-        if len(ids) >= 3:
-            self.cells.append(ids)
+    prev = np.roll(ids, 1)
+    prev[start] = -1
+    keep = ids != prev
+    last = np.maximum.reduceat(np.where(keep, np.arange(len(ids)), -1), start)
+    closing = last[(ids[last] == ids[start]) & (last != start)]
+    keep[closing] = False
+    size = np.add.reduceat(keep.astype(int), start)
+    keep &= np.repeat(size >= 3, counts)
+    return points[first[by_first]], np.split(ids[keep], np.cumsum(size[size >= 3]))[:-1]
+
+
+# the unit square as half-planes normal . x <= offset
+_UNIT_SQUARE = (((-1.0, 0.0), 0.0), ((1.0, 0.0), 1.0), ((0.0, -1.0), 0.0), ((0.0, 1.0), 1.0))
+
+
+def _excess(points, normal, offset):
+    """normal . x - offset at points (..., 2); the clip keeps values <= 1e-13."""
+    return normal[0] * points[..., 0] + normal[1] * points[..., 1] - offset
 
 
 def _clip_halfplane(loop, normal, offset):
     """Sutherland-Hodgman clip of ``loop`` against normal . x <= offset."""
     out = []
     n = len(loop)
+    dist = _excess(loop, normal, offset)
     for i in range(n):
         a, b = loop[i], loop[(i + 1) % n]
-        da = normal[0] * a[0] + normal[1] * a[1] - offset
-        db = normal[0] * b[0] + normal[1] * b[1] - offset
+        da, db = dist[i], dist[(i + 1) % n]
         if da <= 1e-13:
             out.append(a)
             if db > 1e-13 and da < -1e-13:
@@ -431,8 +435,7 @@ def _clip_halfplane(loop, normal, offset):
 
 
 def _clip_to_unit_square(loop):
-    for normal, offset in (((-1.0, 0.0), 0.0), ((1.0, 0.0), 1.0),
-                           ((0.0, -1.0), 0.0), ((0.0, 1.0), 1.0)):
+    for normal, offset in _UNIT_SQUARE:
         if len(loop) == 0:
             return loop
         loop = _clip_halfplane(np.asarray(loop, dtype=float), normal, offset)
@@ -444,35 +447,35 @@ def _honeycomb_cells(m: int):
 
     Hexagon centers sit on the lattice p*(1/(2m), 0) + q*(1/(4m), 1/(2m)); the window
     corner coincides with a hexagon center so boundary pieces are quads/pentagons.
+    Only the hexagons that cross the square's sides are clipped: the clip returns a
+    hexagon inside every side unchanged, and its area 1/(4m^2) passes the filter.
     """
     w = 1.0 / (4 * m)
     a = 3.0 / (8 * m)
     b = 1.0 / (8 * m)
-    pieces = []
-    for p in range(-(m + 2), 2 * m + 2):
-        for q in range(-1, 2 * m + 2):
-            cx = p / (2.0 * m) + q / (4.0 * m)
-            cy = q / (2.0 * m)
-            if cx < -2 * w or cx > 1 + 2 * w or cy < -a or cy > 1 + a:
-                continue
-            hexagon = np.array([
-                [cx, cy + a], [cx - w, cy + b], [cx - w, cy - b],
-                [cx, cy - a], [cx + w, cy - b], [cx + w, cy + b]])
-            piece = _clip_to_unit_square(hexagon)
-            if len(piece) >= 3 and abs(_signed_area(piece)) > 1e-13 / (m * m):
-                pieces.append(piece)
-    return pieces
+    p, q = np.meshgrid(np.arange(-(m + 2), 2 * m + 2), np.arange(-1, 2 * m + 2),
+                       indexing="ij")
+    cx = (p / (2.0 * m) + q / (4.0 * m)).ravel()
+    cy = (q / (2.0 * m)).ravel()
+    near = ~((cx < -2 * w) | (cx > 1 + 2 * w) | (cy < -a) | (cy > 1 + a))
+    hexagons = np.stack([cx[near, None] + [0.0, -w, -w, 0.0, w, w],
+                         cy[near, None] + [a, b, -b, -a, -b, b]], axis=-1)
+    # kept as they are when inside every side, else clipped and filtered
+    keep = np.logical_and.reduce([(_excess(hexagons, *side) <= 1e-13).all(axis=1)
+                                  for side in _UNIT_SQUARE])
+    pieces = list(hexagons)
+    for i in np.flatnonzero(~keep):
+        pieces[i] = piece = _clip_to_unit_square(hexagons[i])
+        keep[i] = len(piece) >= 3 and abs(_signed_area(piece)) > 1e-13 / (m * m)
+    return [piece for piece, k in zip(pieces, keep) if k]
 
 
-def _hexagonal_mesh(m: int, seed: int) -> PolygonalMesh:
-    col = _CellCollector(snap=1e-9 / m)
-    for piece in _honeycomb_cells(m):
-        col.add(piece)
-    verts = np.asarray(col.vertices)
+def _hexagonal_mesh(m: int) -> PolygonalMesh:
+    verts, cells = _snap_loops(_honeycomb_cells(m), 1e-9 / m)
     bump = 0.1 * np.sin(2 * np.pi * verts[:, 0]) * np.sin(2 * np.pi * verts[:, 1])
     verts[:, 0] += bump
     verts[:, 1] += bump
-    return PolygonalMesh(verts, col.cells)
+    return PolygonalMesh(verts, cells)
 
 
 def _octagon_mesh(n: int) -> PolygonalMesh:
@@ -481,34 +484,24 @@ def _octagon_mesh(n: int) -> PolygonalMesh:
         raise ValueError("octagon family needs n >= 2")
     h = 1.0 / n
     d = 0.1 * h
-
-    def hmid(i, j):
-        # midpoint of the horizontal edge between cell (i, j-1) and (i, j)
-        x, y = (i + 0.5) * h, j * h
-        if j == 0 or j == n:
-            return (x, y)
-        if i == n - 1 and j == 1:
-            return (x, y - d)  # indents cell (n-1, 0)
-        return (x, y + d)
-
-    def vmid(i, j):
-        # midpoint of the vertical edge between cell (i-1, j) and (i, j)
-        x, y = i * h, (j + 0.5) * h
-        if i == 0 or i == n:
-            return (x, y)
-        if j == 0:
-            return (x - d, y)  # indents cell (i-1, 0)
-        return (x + d, y)
-
-    col = _CellCollector(snap=1e-9 * h)
-    for i in range(n):
-        for j in range(n):
-            x0, y0 = i * h, j * h
-            x1, y1 = x0 + h, y0 + h
-            col.add(np.array([
-                (x0, y0), hmid(i, j), (x1, y0), vmid(i + 1, j),
-                (x1, y1), hmid(i, j + 1), (x0, y1), vmid(i, j)]))
-    return PolygonalMesh(col.vertices, col.cells)
+    i, k = np.arange(n)[:, None], np.arange(n + 1)
+    # hmid[i, k]: midpoint of the horizontal edge at y = k h in column i, moved up
+    # by d, or down into cell (n-1, 0), except on the boundary
+    dy = np.where((k == 0) | (k == n), 0.0, np.where((i == n - 1) & (k == 1), -d, d))
+    hmid = np.stack(np.broadcast_arrays((i + 0.5) * h, k * h + dy), axis=-1)
+    # vmid[k, j]: midpoint of the vertical edge at x = k h in row j, moved right by
+    # d, or left in the bottom row, except on the boundary
+    k, j = k[:, None], i.T
+    dx = np.where((k == 0) | (k == n), 0.0, np.where(j == 0, -d, d))
+    vmid = np.stack(np.broadcast_arrays(k * h + dx, (j + 0.5) * h), axis=-1)
+    # cell (i, j), in the row-major order of its index i n + j
+    x0, y0 = np.broadcast_arrays(i * h, j * h)
+    x1, y1 = x0 + h, y0 + h
+    loops = np.stack([np.stack([x0, y0], axis=-1), hmid[:, :-1],
+                      np.stack([x1, y0], axis=-1), vmid[1:],
+                      np.stack([x1, y1], axis=-1), hmid[:, 1:],
+                      np.stack([x0, y1], axis=-1), vmid[:-1]], axis=2)
+    return PolygonalMesh(*_snap_loops(loops.reshape(-1, 8, 2), 1e-9 * h))
 
 
 def is_convex(loop: np.ndarray) -> bool:
@@ -536,10 +529,8 @@ def reference_periodic_cell(grid: str, h: float = 1.0) -> PolygonalMesh:
     }.get(grid)
     if builder is None:
         raise ValueError(f"unknown periodic grid {grid!r}; choose from {PERIODIC_GRIDS}")
-    col = _CellCollector(snap=1e-9 * h)
-    for loop in builder():
-        col.add(np.asarray(loop, dtype=float) * h)
-    mesh = PolygonalMesh(col.vertices, col.cells)
+    loops = [np.asarray(loop, dtype=float) * h for loop in builder()]
+    mesh = PolygonalMesh(*_snap_loops(loops, 1e-9 * h))
     _attach_periodic_pairing(mesh, h)
     return mesh
 
@@ -733,8 +724,6 @@ def read_mesh(path) -> PolygonalMesh:
             raise MeshParseError(path, ln, f"bad cell line {line!r}") from None
         if len(ids) != count:
             raise MeshParseError(path, ln, f"cell declares {count} vertices, lists {len(ids)}")
-        if any(v < 0 or v >= n_vertices for v in ids):
-            raise MeshParseError(path, ln, "cell references a missing vertex")
         cells.append(ids)
         cell_lines.append(ln)
 

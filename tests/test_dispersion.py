@@ -20,7 +20,13 @@ from vemwave.dispersion import (
     write_cfl_csv,
     write_dispersion_csv,
 )
-from vemwave.mesh import PERIODIC_GRIDS, reference_periodic_cell
+from vemwave.mesh import (
+    PERIODIC_GRIDS,
+    PolygonalMesh,
+    _attach_periodic_pairing,
+    _snap_loops,
+    reference_periodic_cell,
+)
 
 
 def reduced_pencil(grid, degree, kvec, r=2.0):
@@ -134,6 +140,42 @@ class TestScatterReductionOracle:
         # two equal but distinct Material instances share one cache entry
         a, b = (Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0) for _ in range(2))
         assert reference_system("quad", 1, a) is reference_system("quad", 1, b)
+
+
+def periodic_tiling(grid, n):
+    """n x n copies of the unit periodic cell as one periodic cell of side n."""
+    cell = reference_periodic_cell(grid, 1.0)
+    loops = [cell.vertices[c] + (i, j) for i in range(n) for j in range(n)
+             for c in cell.cells]
+    mesh = PolygonalMesh(*_snap_loops(loops, 1e-9))
+    _attach_periodic_pairing(mesh, float(n))
+    return mesh
+
+
+class TestSupercellOracle:
+    """A Bloch wave of the 3 x 3 tiling at kappa = 0 is a Bloch wave of the unit
+    cell at a wavevector with exp(3 i kappa) = 1, so the tiling's spectrum is the
+    union of the unit-cell spectra at kappa = 2 pi (a, b) / 3, a, b in {0, 1, 2}.
+    This checks the master/slave pairing and the reduction independently of the
+    plane-wave analysis."""
+
+    @pytest.mark.parametrize("grid, degree", [(g, k) for k in (1, 2) for g in PERIODIC_GRIDS]
+                             + [("quad", 3), ("tria", 3)])
+    def test_tiling_spectrum_is_folded_cell_spectrum(self, grid, degree):
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+
+        def spectrum(system, kvec):
+            red = bloch_reduce(system, np.asarray(kvec, dtype=float))
+            return la.eigh(red.stiffness, red.mass, eigvals_only=True)
+
+        tiling = assemble_global(periodic_tiling(grid, 3), degree, mat,
+                                 eliminate_dirichlet=False)
+        cell = reference_system(grid, degree, mat)
+        folded = np.sort(np.concatenate([spectrum(cell, 2 * np.pi * np.array([a, b]) / 3)
+                                         for a in range(3) for b in range(3)]))
+        lam = spectrum(tiling, [0.0, 0.0])
+        assert lam.shape == folded.shape
+        assert np.abs(lam - folded).max() <= 1e-12 * folded.max()
 
 
 class TestSemidiscrete:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vemwave import mesh as mesh_module
 from vemwave.mesh import (
     DIRICHLET,
     FAMILIES,
@@ -22,6 +23,7 @@ from vemwave.mesh import (
     validate_regularity,
     write_mesh,
 )
+from vemwave.mesh import _attach_periodic_pairing, _clip_to_unit_square, _snap_loops
 
 
 def total_area(mesh):
@@ -78,6 +80,106 @@ def reference_pairing(mesh, edges, edge_cells, h):
     return vertex_master, edge_master
 
 
+def shoelace(loop):
+    x, y = loop[:, 0], loop[:, 1]
+    return 0.5 * (x * np.roll(y, -1) - np.roll(x, -1) * y).sum()
+
+
+def reference_snap(loops, snap):
+    """Vertices and cells by a per-point dict walk over coordinate loops: shared
+    points snapped, numbered by first appearance, repeats and short loops dropped."""
+    index, vertices, cells = {}, [], []
+    for loop in loops:
+        loop = np.asarray(loop, dtype=float)
+        if shoelace(loop) < 0:
+            loop = loop[::-1]
+        ids = []
+        for x, y in loop:
+            i = index.setdefault((round(x / snap), round(y / snap)), len(vertices))
+            if i == len(vertices):
+                vertices.append((x, y))
+            if not ids or ids[-1] != i:
+                ids.append(i)
+        if len(ids) > 1 and ids[0] == ids[-1]:
+            ids.pop()
+        if len(ids) >= 3:
+            cells.append(ids)
+    return np.array(vertices), cells
+
+
+def reference_honeycomb(m):
+    """The honeycomb pieces, every hexagon clipped one at a time."""
+    w, a, b = 1.0 / (4 * m), 3.0 / (8 * m), 1.0 / (8 * m)
+    pieces = []
+    for p in range(-(m + 2), 2 * m + 2):
+        for q in range(-1, 2 * m + 2):
+            cx, cy = p / (2.0 * m) + q / (4.0 * m), q / (2.0 * m)
+            if cx < -2 * w or cx > 1 + 2 * w or cy < -a or cy > 1 + a:
+                continue
+            piece = _clip_to_unit_square(np.array([
+                [cx, cy + a], [cx - w, cy + b], [cx - w, cy - b],
+                [cx, cy - a], [cx + w, cy - b], [cx + w, cy + b]]))
+            if len(piece) >= 3 and abs(shoelace(piece)) > 1e-13 / (m * m):
+                pieces.append(piece)
+    return pieces
+
+
+def reference_octagons(n):
+    """The indented-square octagon loops, cell by cell."""
+    h = 1.0 / n
+    d = 0.1 * h
+
+    def hmid(i, j):
+        x, y = (i + 0.5) * h, j * h
+        if j == 0 or j == n:
+            return (x, y)
+        return (x, y - d) if (i, j) == (n - 1, 1) else (x, y + d)
+
+    def vmid(i, j):
+        x, y = i * h, (j + 0.5) * h
+        if i == 0 or i == n:
+            return (x, y)
+        return (x - d, y) if j == 0 else (x + d, y)
+
+    loops = []
+    for i in range(n):
+        for j in range(n):
+            x0, y0 = i * h, j * h
+            x1, y1 = x0 + h, y0 + h
+            loops.append([(x0, y0), hmid(i, j), (x1, y0), vmid(i + 1, j),
+                          (x1, y1), hmid(i, j + 1), (x0, y1), vmid(i, j)])
+    return loops
+
+
+def reference_regularity(mesh, rho_star):
+    """The regularity checks cell by cell and edge by edge: the violations, the
+    smallest edge ratio and its first cell, and the smallest inradius ratio."""
+    violations, ratios, inradii = [], [], []
+    for ci, cell in enumerate(mesh.cells):
+        loop = mesh.vertices[cell]
+        geo = polygon_geometry(loop)
+        inradius = np.inf
+        for k, (a, b) in enumerate(zip(loop, np.roll(loop, -1, axis=0))):
+            ab, ac = b - a, geo.centroid - a
+            if ab[0] * ac[1] - ab[1] * ac[0] <= 0:
+                violations.append((ci, f"centroid does not see edge {k}"))
+            t = np.clip(np.dot(ac, ab) / np.dot(ab, ab), 0.0, 1.0)
+            inradius = min(inradius, np.hypot(*(ac - t * ab)))
+        ratios.append((geo.edge_lengths / geo.diameter).min())
+        if ratios[-1] < rho_star:
+            violations.append((ci, f"edge ratio {ratios[-1]:.4g} < rho_star"))
+        inradii.append(inradius / geo.diameter)
+    return violations, min(ratios), int(np.argmin(ratios)), min(inradii)
+
+
+def assert_same_mesh(mesh, ref):
+    for name in ("vertices", "loop_vertices", "cell_offsets", "edges"):
+        a, b = getattr(mesh, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    if ref.periodic is not None:
+        assert mesh.periodic == ref.periodic
+
+
 def assert_reference_topology(mesh, boundary_tags=None):
     edges, cell_edges, cell_signs, edge_cells, tags = reference_topology(mesh, boundary_tags)
     assert np.array_equal(mesh.edges, edges)
@@ -131,6 +233,65 @@ class TestValidation:
         mesh = PolygonalMesh([[0, 2], [3, 0], [3, 3], [0, 0]], [[0, 1, 2, 3]])
         with pytest.raises(MeshError, match="simple"):
             validate_regularity(mesh, 0.1)
+
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("rho_star", [0.1, 0.3])
+    def test_report_matches_reference(self, family, level, rho_star):
+        mesh = generate_family(family, level)
+        report = validate_regularity(mesh, rho_star)
+        violations, ratio_min, worst, inradius_min = reference_regularity(mesh, rho_star)
+        assert report.violations == violations
+        assert report.star_shaped_ok == (not any(m.startswith("centroid")
+                                                 for _, m in violations))
+        assert (report.edge_ratio_min, report.smallest_ratio_cell) == (ratio_min, worst)
+        # the reference's np.dot may fuse its multiply-add
+        assert report.inradius_ratio_min == pytest.approx(inradius_min,
+                                                          rel=4 * np.finfo(float).eps)
+
+    @staticmethod
+    def separate_cells(*shapes):
+        """A mesh of the given vertex loops, each shifted 10 units right of the last."""
+        verts, cells = [], []
+        for c, shape in enumerate(shapes):
+            cells.append(list(range(len(verts), len(verts) + len(shape))))
+            verts += [(x + 10 * c, y) for x, y in shape]
+        return PolygonalMesh(verts, cells)
+
+    def test_lowest_faulty_cell_raises(self):
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        degenerate = [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)]
+        bowtie = [(0, 2), (3, 0), (3, 3), (0, 0)]
+        # the 4-vertex group is checked before the 5-vertex one
+        mesh = self.separate_cells(square, degenerate, bowtie)
+        with pytest.raises(MeshError, match="cell 1 has a degenerate") as info:
+            validate_regularity(mesh, 0.1)
+        assert info.value.cell == 1
+        with pytest.raises(MeshError, match="cell 1 is not a simple polygon"):
+            validate_regularity(self.separate_cells(square, bowtie, degenerate), 0.1)
+        with pytest.raises(MeshError, match="cell 0 has a degenerate"):
+            validate_regularity(self.separate_cells(bowtie[:3] + [(3, 3)] + bowtie[3:]),
+                                0.1)
+
+    def test_violations_by_cell_then_edge(self):
+        dart = [(0, 0), (2, 1), (0, 2), (1.5, 1)]                 # sees edges 0, 1
+        short_edge = [(0, 0), (1, 0), (1, 1), (0.01, 1), (0, 0.99)]
+        dart_short_edge = [(0, 0), (2, 0.95), (2, 1.05), (0, 2), (1.5, 1)]
+        sliver = [(0, 0), (1, 0), (0.98, 0.02)]
+        report = validate_regularity(
+            self.separate_cells(dart, short_edge, dart_short_edge, sliver), 0.1)
+        assert not report.star_shaped_ok
+        assert [(c, m.split(" ")[0]) for c, m in report.violations] == [
+            (0, "centroid"), (0, "centroid"), (1, "edge"),
+            (2, "centroid"), (2, "centroid"), (2, "edge"), (3, "edge")]
+        assert [m for c, m in report.violations if m.startswith("centroid")] == [
+            f"centroid does not see edge {k}" for k in (2, 3, 3, 4)]
+        ratios = [float(m.split()[2]) for c, m in report.violations if m.startswith("edge")]
+        assert ratios == pytest.approx([0.01, 0.1 / np.hypot(2, 1.05), 0.02 * np.sqrt(2)],
+                                       rel=1e-3)
+        assert report.smallest_ratio_cell == 1
+        assert report.edge_ratio_min == pytest.approx(0.01)
 
 
 class TestFamilies:
@@ -203,6 +364,48 @@ class TestTopology:
         path = tmp_path / "mesh.txt"
         write_mesh(mesh, path)
         assert_reference_topology(read_mesh(path), tags)
+
+
+class TestGeneratorsMatchReference:
+    """The array-built families and periodic cells equal, byte for byte, the
+    meshes that the per-cell references give."""
+
+    def test_snap_repeats_and_short_loops(self):
+        loops = [
+            [(0, 0), (1, 0), (1, 0), (1, 1), (1, 1), (0, 0)],  # repeats, closing repeat
+            [(1, 1), (2, 1), (2, 0), (1 + 1e-12, 0)],          # clockwise, snaps to (1, 0)
+            [(3, 3), (3 + 1e-12, 3), (3, 3 + 1e-12)],          # one vertex: dropped
+            [(2, 1), (2, 2), (1, 1)],
+        ]
+        verts, cells = _snap_loops([np.asarray(c, dtype=float) for c in loops], 1e-9)
+        ref_verts, ref_cells = reference_snap(loops, 1e-9)
+        assert verts.tobytes() == ref_verts.tobytes()
+        assert [c.tolist() for c in cells] == ref_cells == [[0, 1, 2], [1, 3, 4, 2], [4, 6, 2]]
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_hexagonal(self, level):
+        m = 2 * 2 ** level
+        verts, cells = reference_snap(reference_honeycomb(m), 1e-9 / m)
+        bump = 0.1 * np.sin(2 * np.pi * verts[:, 0]) * np.sin(2 * np.pi * verts[:, 1])
+        verts[:, 0] += bump
+        verts[:, 1] += bump
+        assert_same_mesh(generate_family("hexagonal", level), PolygonalMesh(verts, cells))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_nonconvex_octagon(self, level):
+        n = 5 * 2 ** level
+        ref = PolygonalMesh(*reference_snap(reference_octagons(n), 1e-9 / n))
+        assert_same_mesh(generate_family("nonconvex_octagon", level), ref)
+
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    @pytest.mark.parametrize("h", [1.0, 1.3])
+    def test_periodic_cell(self, grid, h):
+        loops = (reference_honeycomb(1) if grid == "c1"
+                 else getattr(mesh_module, f"_cell_{grid}")())
+        ref = PolygonalMesh(*reference_snap([np.asarray(c, dtype=float) * h for c in loops],
+                                            1e-9 * h))
+        _attach_periodic_pairing(ref, h)
+        assert_same_mesh(reference_periodic_cell(grid, h), ref)
 
 
 GOLDEN_CELL_COUNTS = {"quad": 1, "tria": 2, "c1": 8, "c2": 5, "c3": 13, "c4": 5}
@@ -290,6 +493,12 @@ class TestMeshIO:
         with pytest.raises(MeshParseError, match="missing vertex"):
             read_mesh(path)
 
+    def test_vertex_id_beyond_int64_is_missing(self):
+        for big in (2 ** 70, 99999999999999999999):
+            with pytest.raises(MeshError, match="cell 1 references a missing vertex") as info:
+                PolygonalMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1, big]])
+            assert info.value.cell == 1
+
     def test_empty_file_error(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -331,8 +540,11 @@ class TestMeshIO:
          15, "interior"),
         (["4 0 1 4 4", "4 1 4 5 2"], [], 11, "repeats a vertex"),
         (["4 0 1 4 3", "3 1 4 6", "4 1 2 5 4"], [], 13, "more than two cells"),
+        (["4 0 1 4 3", "4 1 2 5 99999999999999999999"], [], 12, "missing vertex"),
+        (["4 0 3 4 1", "4 1 2 5 99999999999999999999"], [], 11, "counterclockwise"),
     ], ids=["clockwise-cell", "repeated-vertex", "edge-in-three-cells",
-            "tag-on-interior-edge", "repeat-before-clockwise", "third-owner-in-file-order"])
+            "tag-on-interior-edge", "repeat-before-clockwise", "third-owner-in-file-order",
+            "vertex-id-beyond-int64", "clockwise-before-missing-vertex"])
     def test_topology_error_names_offending_line(self, tmp_path, cells, boundary,
                                                  line_no, word):
         verts = ["0 0", "1 0", "2 0", "0 1", "1 1", "2 1", "0.5 0.5"]
