@@ -97,6 +97,15 @@ class BlochReduction:
 
 @dataclass
 class DispersionResult:
+    """One plane-wave analysis.
+
+    ``eigenvalues`` is the spectrum of the shear pencil, the one at
+    ``config.wavevector()``, and ``im_omega_max`` is computed from it: the
+    square root of minus its most negative eigenvalue, 0 when none is
+    negative.  Under the 'scaled' convention the P mode comes from a second
+    pencil whose spectrum is not kept.  ``dt`` is the time step of the fully
+    discrete analysis and is None for the semi-discrete one."""
+
     config: DispersionConfig
     omega_p: float
     omega_s: float
@@ -166,15 +175,21 @@ class _BlochPlan:
 
     def reduce(self, kvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P^H M P, P^H K P) at the wavevector ``kvec``: one phase per offset
-        class, exactly 1 for a zero difference, then one scatter per matrix."""
+        class, exactly 1 for a zero difference, then per matrix two bincounts
+        written into the real and imaginary parts of one complex array, which is
+        made Hermitian in place."""
         phase = np.exp(1j * (kvec[0] * self.diff[:, 0] + kvec[1] * self.diff[:, 1]))
         nn = self.n * self.n
         out = []
         for data, idx, cls in self.entries:
             w = data * phase[cls]
-            red = (np.bincount(idx, w.real, nn)
-                   + 1j * np.bincount(idx, w.imag, nn)).reshape(self.n, self.n)
-            out.append(0.5 * (red + red.conj().T))
+            red = np.empty((self.n, self.n), dtype=complex)
+            flat = red.reshape(nn)
+            flat.real = np.bincount(idx, w.real, nn)
+            flat.imag = np.bincount(idx, w.imag, nn)
+            red += red.conj().T
+            red *= 0.5
+            out.append(red)
         return out[0], out[1]
 
     def projector(self, kvec: np.ndarray) -> np.ndarray:
@@ -206,6 +221,20 @@ def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction
     kvec = np.array(wavevector, dtype=float)
     mass, stiffness = plan.reduce(kvec)
     return BlochReduction(mass, stiffness, kvec, plan)
+
+
+def _pencil_eigvals(red: BlochReduction, largest_only: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of the reduced pencil (K, M), or its largest alone.
+
+    The full spectrum uses LAPACK's ``hegv``: SciPy queries its workspace size,
+    while its default ``hegvd`` gets no workspace query, runs with the minimal
+    workspace and so falls back to the unblocked tridiagonal reduction.  The
+    largest eigenvalue alone goes through SciPy's subset driver ``hegvx``."""
+    if largest_only:
+        n = red.mass.shape[0]
+        return la.eigh(red.stiffness, red.mass, eigvals_only=True,
+                       subset_by_index=[n - 1, n - 1])
+    return la.eigh(red.stiffness, red.mass, eigvals_only=True, driver="gv")
 
 
 def _identify_modes(eigenvalues: np.ndarray, omega_exact: float,
@@ -253,16 +282,14 @@ def _pencil_dispersion(config: DispersionConfig, to_omega,
     material = config.material
     system = reference_system(config.grid, config.degree, material)
     kv_s = config.wavevector()
-    kv_p = config.p_wavevector()
-    red = bloch_reduce(system, kv_s)
-    eig_s = la.eigh(red.stiffness, red.mass, eigvals_only=True)
+    eig_s = _pencil_eigvals(bloch_reduce(system, kv_s))
     kn_s = float(np.hypot(*kv_s))
     lam_s, amb_s = _mode_pick(eig_s, material, kn_s, "S")
-    if np.allclose(kv_p, kv_s):
+    if config.p_convention == "shared":
         eig_p, kn_p = eig_s, kn_s
     else:
-        red_p = bloch_reduce(system, kv_p)
-        eig_p = la.eigh(red_p.stiffness, red_p.mass, eigvals_only=True)
+        kv_p = config.p_wavevector()
+        eig_p = _pencil_eigvals(bloch_reduce(system, kv_p))
         kn_p = float(np.hypot(*kv_p))
     lam_p, amb_p = _mode_pick(eig_p, material, kn_p, "P")
     omega_p = to_omega(lam_p)
@@ -337,10 +364,11 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
     lam_max = 0.0
     for theta in thetas:
         kvec = knorm * np.array([np.cos(theta), np.sin(theta)])
+        # kept bound until the next pencil is built: freeing each pencil before
+        # the next reduce (allocator page reuse) made the c3 k = 3 sweep 10-15 %
+        # slower on a 2-core x86_64 host
         red = bloch_reduce(system, kvec)
-        n = red.mass.shape[0]
-        lam = la.eigh(red.stiffness, red.mass, eigvals_only=True,
-                      subset_by_index=[n - 1, n - 1])
+        lam = _pencil_eigvals(red, largest_only=True)
         lam_max = max(lam_max, float(lam[0]))
     return 2.0 * material.c_p / np.sqrt(lam_max)
 

@@ -142,6 +142,34 @@ class TestScatterReductionOracle:
         assert reference_system("quad", 1, a) is reference_system("quad", 1, b)
 
 
+def reference_reduce(plan, kvec):
+    """The scatter as first written: a complex sum of the two bincounts, then
+    a Hermitian average into a new array."""
+    phase = np.exp(1j * (kvec[0] * plan.diff[:, 0] + kvec[1] * plan.diff[:, 1]))
+    nn = plan.n * plan.n
+    out = []
+    for data, idx, cls in plan.entries:
+        w = data * phase[cls]
+        red = (np.bincount(idx, w.real, nn)
+               + 1j * np.bincount(idx, w.imag, nn)).reshape(plan.n, plan.n)
+        out.append(0.5 * (red + red.conj().T))
+    return out[0], out[1]
+
+
+class TestInPlaceScatter:
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_byte_identical_to_reference(self, grid, degree):
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        system = reference_system(grid, degree, mat)
+        for kvec in ([0.0, 0.0], [0.9, 1.7], [-2.1, 0.4]):
+            kvec = np.array(kvec)
+            red = bloch_reduce(system, kvec)
+            mass, stiffness = reference_reduce(red._plan, kvec)
+            assert red.mass.tobytes() == mass.tobytes()
+            assert red.stiffness.tobytes() == stiffness.tobytes()
+
+
 def periodic_tiling(grid, n):
     """n x n copies of the unit periodic cell as one periodic cell of side n."""
     cell = reference_periodic_cell(grid, 1.0)
@@ -176,6 +204,45 @@ class TestSupercellOracle:
         lam = spectrum(tiling, [0.0, 0.0])
         assert lam.shape == folded.shape
         assert np.abs(lam - folded).max() <= 1e-12 * folded.max()
+
+
+class TestPencilEigvals:
+    """The full spectrum comes from LAPACK's hegv; SciPy's default hegvd is the
+    oracle."""
+
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_matches_default_driver(self, grid, degree):
+        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+        system = reference_system(grid, degree, mat)
+        for theta in (0.3, 2.0):
+            kvec = 2.0 * np.pi * degree * 0.2 * np.array([np.cos(theta), np.sin(theta)])
+            red = bloch_reduce(system, kvec)
+            lam = dispersion._pencil_eigvals(red)
+            ref = la.eigh(red.stiffness, red.mass, eigvals_only=True, driver="gvd")
+            assert lam.shape == ref.shape
+            assert np.abs(lam - ref).max() <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("delta", [0.2, 1e-9])
+    @pytest.mark.parametrize("convention", ["scaled", "shared"])
+    def test_pencils_per_convention(self, monkeypatch, delta, convention):
+        """'scaled' solves a second pencil at kappa / r however small delta is;
+        'shared' solves one."""
+        calls = []
+
+        def recording_reduce(system, wavevector):
+            calls.append(np.array(wavevector, dtype=float))
+            return bloch_reduce(system, wavevector)
+
+        monkeypatch.setattr(dispersion, "bloch_reduce", recording_reduce)
+        cfg = DispersionConfig("quad", 1, delta, 0.3, 2.0, p_convention=convention)
+        semidiscrete_dispersion(cfg)
+        expected = [cfg.wavevector()]
+        if convention == "scaled":
+            expected.append(cfg.wavevector() / 2.0)
+        assert len(calls) == len(expected)
+        for got, want in zip(calls, expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSemidiscrete:
@@ -335,6 +402,19 @@ class TestDissipation:
     def test_non_dissipative(self, grid):
         cfg = DispersionConfig(grid, 2, 0.2, np.pi / 4, 2.0)
         assert dissipation_check(cfg) <= 1e-10
+
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    def test_general_solver_on_fresh_pencil(self, grid):
+        """The check is the general (QZ) solve of the reduced pencil, whose
+        round-off criterion 5 reports."""
+        cfg = DispersionConfig(grid, 2, 0.2, np.pi / 4, 2.0)
+        system = reference_system(grid, 2, cfg.material)
+        red = bloch_reduce(system, cfg.wavevector())
+        omegas = np.sqrt(la.eig(red.stiffness, red.mass, right=False).astype(complex))
+        mags = np.abs(omegas)
+        mags[mags == 0.0] = 1.0
+        expected = float(np.max(np.abs(omegas.imag) / mags))
+        assert np.float64(dissipation_check(cfg)).tobytes() == np.float64(expected).tobytes()
 
 
 class TestSweepsAndCsv:
