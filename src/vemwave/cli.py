@@ -24,6 +24,14 @@ def _positive(name, value):
     return value
 
 
+def _write_csv(path, header, rows):
+    """Every CSV the CLI writes: ASCII, the csv module's default dialect."""
+    with open(path, "w", newline="", encoding="ascii") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _parse_int_list(text):
     try:
         return [int(v) for v in text.split(",") if v]
@@ -146,7 +154,11 @@ def _cmd_convergence(args, out):
     _positive("T", final_time)
     study = harness.run_convergence(family, degrees, range(args.levels), dt,
                                     final_time, seed=args.seed)
-    harness.write_convergence_csv(study, out / "convergence.csv")
+    _write_csv(out / "convergence.csv",
+               ["family", "k", "level", "h", "ndofs", "err_l2", "err_h1", "seconds"],
+               ([r.family, r.degree, r.level, f"{r.h:.12e}", r.n_dofs,
+                 f"{r.err_l2:.12e}", f"{r.err_h1:.12e}", f"{r.seconds:.3f}"]
+                for r in study.records))
     if args.levels >= 2:
         for k in degrees:
             print(f"k={k}: L2 slope {study.slope(k, 'l2'):.3f}, "
@@ -162,12 +174,10 @@ def _cmd_prefine(args, out):
     kinds = ("monomial", "orthonormal") if args.basis == "both" else (args.basis,)
     records = harness.run_p_refinement(range(1, args.kmax + 1), args.dt, args.T,
                                        basis_kinds=kinds, seed=args.seed)
-    with open(out / "prefine.csv", "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["basis", "k", "ndofs", "err_l2", "err_h1", "max_condition"])
-        for r in records:
-            w.writerow([r.basis_kind, r.degree, r.n_dofs, f"{r.err_l2:.12e}",
-                        f"{r.err_h1:.12e}", f"{r.max_condition:.3e}"])
+    _write_csv(out / "prefine.csv",
+               ["basis", "k", "ndofs", "err_l2", "err_h1", "max_condition"],
+               ([r.basis_kind, r.degree, r.n_dofs, f"{r.err_l2:.12e}",
+                 f"{r.err_h1:.12e}", f"{r.max_condition:.3e}"] for r in records))
     return 0
 
 
@@ -184,7 +194,12 @@ def _cmd_dispersion(args, out):
         result = disp.fullydiscrete_dispersion(cfg)
     else:
         result = disp.semidiscrete_dispersion(cfg)
-    disp.write_dispersion_csv([result], out / "dispersion.csv")
+    c = result.config
+    _write_csv(out / "dispersion.csv",
+               ["grid", "k", "delta", "theta", "r", "q_rel", "e_P", "e_S", "im_omega_max"],
+               [[c.grid, c.degree, f"{c.delta:.12g}", f"{c.theta:.12g}",
+                 f"{c.speed_ratio:.12g}", f"{c.q_rel:.12g}", f"{result.e_p:.12e}",
+                 f"{result.e_s:.12e}", f"{result.im_omega_max:.12e}"]])
     print(f"e_P = {result.e_p:+.6e}  e_S = {result.e_s:+.6e}  "
           f"max|Im w|/|w| = {result.im_omega_max:.2e}")
     return 0
@@ -204,9 +219,9 @@ def _cmd_cfl(args, out):
                 q = disp.cfl_parameter(g, k, args.delta, args.r)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            rows.append((g, k, q))
+            rows.append([g, k, f"{q:.12e}"])
             print(f"{g} k={k}: q_CFL = {q:.6f}")
-    disp.write_cfl_csv(rows, out / "cfl.csv")
+    _write_csv(out / "cfl.csv", ["grid", "k", "q_cfl"], rows)
     return 0
 
 
@@ -215,12 +230,9 @@ def _cmd_anisotropy(args, out):
         rows = disp.anisotropy_sweep(args.grid, args.k, args.delta, args.r, args.angles)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    with open(out / "anisotropy.csv", "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["theta", "ratio_s", "ratio_p"])
-        for row in rows:
-            w.writerow([f"{row['theta']:.12g}", f"{row['ratio_s']:.12e}",
-                        f"{row['ratio_p']:.12e}"])
+    _write_csv(out / "anisotropy.csv", ["theta", "ratio_s", "ratio_p"],
+               ([f"{row['theta']:.12g}", f"{row['ratio_s']:.12e}",
+                 f"{row['ratio_p']:.12e}"] for row in rows))
     return 0
 
 
@@ -247,18 +259,14 @@ def _cmd_solve(args, out):
             timestep.save_checkpoint(state, out / f"state_{state.step_index:08d}.ckpt")
         if state.step_index % 100 == 0:
             e = timestep.discrete_energy(state, system)
-            log.append((state.step_index, e))
+            log.append([state.step_index, f"{e:.12e}"])
             print(f"step {state.step_index}: E = {e:.10e}")
 
     state = harness.solve_benchmark(system, harness.standing_wave_benchmark(material),
                                     args.dt, args.T, on_step=on_step)
     timestep.save_checkpoint(state, out / "final_state.ckpt")
     if log:
-        with open(out / "energy.csv", "w", newline="", encoding="ascii") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "energy"])
-            for n, e in log:
-                w.writerow([n, f"{e:.12e}"])
+        _write_csv(out / "energy.csv", ["step", "energy"], log)
     return 0
 
 

@@ -3,7 +3,6 @@ of (M, K), physical mode extraction, semi- and fully-discrete dispersion errors,
 dissipation check, CFL parameter, and parameter sweeps."""
 from __future__ import annotations
 
-import csv
 import functools
 import weakref
 from dataclasses import dataclass, field
@@ -34,6 +33,11 @@ class DispersionConfig:
     longer, wavelength (wavevector magnitude divided by r); 'shared' evaluates
     both modes at the shear wavevector.  q_rel is the Courant fraction used by
     the fully discrete analysis.
+
+    The material is the fixed reference one, ``material``: rho = 1,
+    c_P = sqrt(2) and c_S = c_P / r.  The results (e = c_h/c - 1, q_CFL) are
+    dimensionless and do not depend on the material scale, so only the speed
+    ratio r is a parameter.
     """
 
     grid: str
@@ -42,8 +46,6 @@ class DispersionConfig:
     theta: float
     speed_ratio: float
     q_rel: float = 1.0
-    rho: float = 1.0
-    c_p: float = float(np.sqrt(2.0))
     p_convention: str = "scaled"
 
     def __post_init__(self):
@@ -55,10 +57,6 @@ class DispersionConfig:
             raise ValueError("delta must be > 0")
         if not self.speed_ratio > np.sqrt(2.0):
             raise ValueError("speed ratio r = c_p/c_s must exceed sqrt(2)")
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
-        if not self.c_p > 0:
-            raise ValueError("c_p must be > 0")
         if not 0.0 <= self.theta < 2.0 * np.pi:
             raise ValueError("theta must lie in [0, 2 pi)")
         if not 0.0 < self.q_rel <= 1.0:
@@ -68,7 +66,7 @@ class DispersionConfig:
 
     @property
     def material(self) -> Material:
-        return Material.from_wave_speeds(self.rho, self.c_p, self.speed_ratio)
+        return Material.from_wave_speeds(1.0, float(np.sqrt(2.0)), self.speed_ratio)
 
     def wavenumber(self) -> float:
         return 2.0 * np.pi * self.degree * self.delta
@@ -318,17 +316,16 @@ def semidiscrete_dispersion(config: DispersionConfig, *,
     return result
 
 
-def fullydiscrete_dispersion(config: DispersionConfig, dt: float | None = None,
-                             q_cfl: float | None = None) -> DispersionResult:
+def fullydiscrete_dispersion(config: DispersionConfig,
+                             dt: float | None = None) -> DispersionResult:
     """Dispersion errors of the leap-frog discretization in time and space.
 
     The eigenvalues of the same reduced pencils are mapped through
     Lambda = (4/dt^2) sin^2(omega dt / 2); dt defaults to
     q_rel * q_CFL * h / c_P with q_CFL computed for this grid."""
     if dt is None:
-        if q_cfl is None:
-            q_cfl = cfl_parameter(config.grid, config.degree, config.delta,
-                                  config.speed_ratio, rho=config.rho, c_p=config.c_p)
+        q_cfl = cfl_parameter(config.grid, config.degree, config.delta,
+                              config.speed_ratio)
         dt = config.q_rel * q_cfl / config.material.c_p
 
     def to_omega(lam: float) -> float:
@@ -342,8 +339,7 @@ def fullydiscrete_dispersion(config: DispersionConfig, dt: float | None = None,
 
 
 def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
-                  n_angles: int = 64, rho: float = 1.0,
-                  c_p: float = float(np.sqrt(2.0))) -> float:
+                  n_angles: int = 64) -> float:
     """q_CFL = 2 c_P / (h sqrt(Lambda_max)) with Lambda_max the largest reduced
     eigenvalue over ``n_angles`` uniformly spaced propagation angles; each
     pencil is asked for its largest eigenvalue only.
@@ -354,7 +350,7 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
     are validated by ``DispersionConfig``."""
     if n_angles < 1:
         raise ValueError(f"n_angles must be >= 1 (got {n_angles})")
-    config = DispersionConfig(grid, degree, delta, 0.0, speed_ratio, rho=rho, c_p=c_p)
+    config = DispersionConfig(grid, degree, delta, 0.0, speed_ratio)
     material = config.material
     system = reference_system(grid, degree, material)
     knorm = config.wavenumber()
@@ -374,15 +370,13 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
 
 
 def anisotropy_sweep(grid: str, degree: int, delta: float, speed_ratio: float,
-                     n_angles: int = 32, rho: float = 1.0,
-                     c_p: float = float(np.sqrt(2.0))) -> list[dict]:
+                     n_angles: int = 32) -> list[dict]:
     """Velocity ratios c_{X,h}/c_X per propagation angle (CSV-ready rows)."""
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8 (got {n_angles})")
     rows = []
     for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
-        cfg = DispersionConfig(grid, degree, delta, float(theta), speed_ratio,
-                               rho=rho, c_p=c_p)
+        cfg = DispersionConfig(grid, degree, delta, float(theta), speed_ratio)
         res = semidiscrete_dispersion(cfg)
         rows.append({"theta": float(theta),
                      "ratio_s": res.c_s_h / cfg.material.c_s,
@@ -401,27 +395,3 @@ def dissipation_check(config: DispersionConfig) -> float:
     mags = np.abs(omegas)
     mags[mags == 0.0] = 1.0
     return float(np.max(np.abs(omegas.imag) / mags))
-
-
-DISPERSION_CSV_FIELDS = ["grid", "k", "delta", "theta", "r", "q_rel",
-                         "e_P", "e_S", "im_omega_max"]
-
-
-def write_dispersion_csv(results: list[DispersionResult], path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f)
-        writer.writerow(DISPERSION_CSV_FIELDS)
-        for r in results:
-            c = r.config
-            writer.writerow([c.grid, c.degree, f"{c.delta:.12g}", f"{c.theta:.12g}",
-                             f"{c.speed_ratio:.12g}", f"{c.q_rel:.12g}",
-                             f"{r.e_p:.12e}", f"{r.e_s:.12e}",
-                             f"{r.im_omega_max:.12e}"])
-
-
-def write_cfl_csv(rows: list[tuple[str, int, float]], path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f)
-        writer.writerow(["grid", "k", "q_cfl"])
-        for grid, degree, q in rows:
-            writer.writerow([grid, degree, f"{q:.12e}"])

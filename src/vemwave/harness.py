@@ -2,7 +2,6 @@
 convergence studies."""
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -11,6 +10,7 @@ import numpy as np
 from .assembly import GlobalSystem, Material, assemble_global, assemble_load, interpolate
 from .mesh import FAMILIES, generate_family
 from .polybasis import BasisConditioningError
+from .projectors import ProjectorError
 from . import timestep as ts
 
 
@@ -215,7 +215,9 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
                      material: Material | None = None) -> list[PRefinementRecord]:
     """p-refinement study on the fixed 5x5 randomized quadrilateral mesh.
 
-    Conditioning failures with the monomial basis are recorded, not fatal."""
+    An ill-conditioned build is recorded as a conditioning failure, not raised:
+    the orthonormalization of the basis (BasisConditioningError) or the elliptic
+    projector system (ProjectorError, the monomial basis at high degree)."""
     mesh = generate_family("random_quad", 0, seed)
     problem = standing_wave_benchmark(material)
     records = []
@@ -232,21 +234,7 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
                 records.append(PRefinementRecord(
                     degree, basis_kind, system.n_free, errs.l2, errs.h1,
                     cond, False))
-            except BasisConditioningError:
+            except (BasisConditioningError, ProjectorError):
                 records.append(PRefinementRecord(
                     degree, basis_kind, 0, np.nan, np.nan, np.inf, True))
     return records
-
-
-CONVERGENCE_CSV_FIELDS = ["family", "k", "level", "h", "ndofs",
-                          "err_l2", "err_h1", "seconds"]
-
-
-def write_convergence_csv(study: ConvergenceStudy, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f)
-        writer.writerow(CONVERGENCE_CSV_FIELDS)
-        for r in study.records:
-            writer.writerow([r.family, r.degree, r.level, f"{r.h:.12e}", r.n_dofs,
-                             f"{r.err_l2:.12e}", f"{r.err_h1:.12e}",
-                             f"{r.seconds:.3f}"])

@@ -1,4 +1,4 @@
-"""Scaled monomial bases on polygons, polygon/edge quadrature, and monomial Gram matrices."""
+"""Scaled monomial bases on polygons, polygon quadrature, and monomial Gram matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -190,17 +190,6 @@ class QuadratureRule:
         return QuadratureRule(self.points[i], self.weights[i])
 
 
-def gauss_segment(p0: np.ndarray, p1: np.ndarray, n: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the segment p0 -> p1 (weights sum to the length)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (x + 1.0)
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = float(np.hypot(*(p1 - p0)))
-    return QuadratureRule(pts, 0.5 * w * length)
-
-
 @lru_cache(maxsize=64)
 def _reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed tensor rule on the triangle (0,0),(1,0),(0,1), exact to total degree
@@ -300,28 +289,19 @@ def mT(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonomialGrams:
-    """Element Gram matrices of a polynomial basis p and of its first derivatives,
-    with the leading cell axes of the basis.
+    """Element Gram matrices of a polynomial basis p, with the leading cell axes
+    of the basis.
 
-    mass[i, j]  = int_P p_j p_i
-    dxdx[i, j]  = int_P dx p_j dx p_i,  dxdy[i, j] = int_P dx p_j dy p_i, etc.
-    (dydx is the transpose of dxdy; dydy pairs the y-derivatives on both sides.)
+    mass[i, j]      = int_P p_j p_i
+    stiffness[i, j] = int_P grad p_j . grad p_i
     """
 
-    basis: PolynomialBasis
     mass: np.ndarray
-    dxdx: np.ndarray
-    dxdy: np.ndarray
-    dydx: np.ndarray
-    dydy: np.ndarray
+    stiffness: np.ndarray
 
     def __getitem__(self, i) -> "MonomialGrams":
         """The Grams of cell ``i`` of a stack."""
-        return MonomialGrams(self.basis[i], self.mass[i], self.dxdx[i], self.dxdy[i],
-                             self.dydx[i], self.dydy[i])
-
-    def stiffness(self) -> np.ndarray:
-        return self.dxdx + self.dydy
+        return MonomialGrams(self.mass[i], self.stiffness[i])
 
 
 def monomial_grams(basis: PolynomialBasis, rule: QuadratureRule) -> MonomialGrams:
@@ -331,17 +311,17 @@ def monomial_grams(basis: PolynomialBasis, rule: QuadratureRule) -> MonomialGram
     mass = mT(vals) @ (w * vals)
     dxdx = mT(dx) @ (w * dx)
     dydy = mT(dy) @ (w * dy)
-    dydx = mT(dx) @ (w * dy)   # rows pair dx, columns dy: int dy p_j dx p_i
     mass = 0.5 * (mass + mT(mass))
     dxdx = 0.5 * (dxdx + mT(dxdx))
     dydy = 0.5 * (dydy + mT(dydy))
-    return MonomialGrams(basis, mass, dxdx, mT(dydx), dydx, dydy)
+    return MonomialGrams(mass, dxdx + dydy)
 
 
-def orthonormalize(basis: PolynomialBasis, rule: QuadratureRule,
-                   cond_limit: float = 1e16, *, name="polygon") -> PolynomialBasis:
+def orthonormalize(basis: PolynomialBasis, rule: QuadratureRule, *,
+                   name="polygon") -> PolynomialBasis:
     """Upper-triangular change of basis T with T^T Q T = I in the element L2 product,
-    per cell of a stacked basis and rule.
+    per cell of a stacked basis and rule; BasisConditioningError when the
+    triangular factor of a cell has a diagonal ratio above 1e16.
 
     Computed stably from a QR factorization of the weighted Vandermonde rather than
     from the assembled Gram matrix.  ``name`` labels the cells as in
@@ -353,7 +333,7 @@ def orthonormalize(basis: PolynomialBasis, rule: QuadratureRule,
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     lo, hi = np.abs(diag).min(axis=-1), np.abs(diag).max(axis=-1)
     cond = hi / np.maximum(lo, 1e-300)
-    bad = (lo == 0.0) | (cond > cond_limit)
+    bad = (lo == 0.0) | (cond > 1e16)
     if bad.any():
         lead = np.shape(lo)
         worst = np.unravel_index(np.argmax(np.where(bad, cond, -1.0)), lead)

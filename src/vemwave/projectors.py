@@ -108,16 +108,17 @@ class DofMap:
 
 
 @lru_cache(maxsize=None)
-def _edge_reference(degree: int, npts: int):
-    """Edge data shared by every edge of every element of one degree.
+def _edge_reference(degree: int):
+    """Edge data shared by every edge of every element of one degree, on the
+    (k + 1)-point Gauss rule.
 
     Returns the Gauss coordinates t in [-1/2, 1/2], the weights of the unit edge,
-    ``trace_coeff`` (npts, k+1) mapping (start value, end value, moments) to point
-    values, and ``moment_weights`` (npts, k-1) with 1/|E| int_E v t^l ds =
+    ``trace_coeff`` (k+1, k+1) mapping (start value, end value, moments) to point
+    values, and ``moment_weights`` (k+1, k-1) with 1/|E| int_E v t^l ds =
     moment_weights[:, l] @ v (the 1/|E| cancels the |E| of the weights).  The
     arrays are read-only because every element shares them."""
     k = degree
-    gx, gw = np.polynomial.legendre.leggauss(npts)
+    gx, gw = np.polynomial.legendre.leggauss(k + 1)
     t = 0.5 * gx
     unit_weights = gw * 0.5
 
@@ -174,7 +175,7 @@ class ElementGroup:
     (elliptic), Pi0 (enhanced L2), Pi0x/Pi0y, each (G, ...)."""
 
     def __init__(self, mesh: PolygonalMesh, cells: CellGroup, degree: int, *,
-                 basis_kind: str = "monomial", quad_boost: int = 0):
+                 basis_kind: str = "monomial"):
         if basis_kind not in ("monomial", "orthonormal"):
             raise ValueError("basis_kind must be 'monomial' or 'orthonormal'")
         self.mesh = mesh
@@ -186,7 +187,7 @@ class ElementGroup:
         names = np.char.add("cell ", cells.index.astype(str))
 
         self.rule: QuadratureRule = polygon_quadrature(
-            self.vertex_coords, 2 * degree + 2 + quad_boost,
+            self.vertex_coords, 2 * degree + 2,
             centroid=self.geometry.centroid, name=names)
         basis = scaled_monomials(self.geometry.centroid, self.geometry.diameter, degree)
         if basis_kind == "orthonormal":
@@ -198,7 +199,7 @@ class ElementGroup:
         self.n_km1 = basis_dimension(degree - 1)
         self.n_km2 = basis_dimension(degree - 2)
 
-        self._build_edges(quad_boost)
+        self._build_edges()
         # the basis on all edge points at once, and int_dP g phi_i ds as
         # g @ weighted_trace; only D and the projector right-hand sides use them
         g = len(cells.index)
@@ -217,11 +218,11 @@ class ElementGroup:
 
     # -- edge traces --------------------------------------------------------
 
-    def _build_edges(self, quad_boost: int):
+    def _build_edges(self):
         lay = self.layout
         n, m = lay.n_vertices, lay.moments_per_edge
         t, unit_weights, trace_coeff, self._moment_weights = _edge_reference(
-            self.degree, self.degree + 1 + quad_boost)
+            self.degree)
         loc = np.arange(n)
         nxt = np.roll(loc, -1)
         forward = self.cells.edge_signs > 0
@@ -256,7 +257,7 @@ class ElementGroup:
     def _build_elliptic_projector(self, normal_derivative, on_boundary, weighted_trace):
         lay = self.layout
         area = self.geometry.area[:, None, None]
-        g = self.grams.stiffness().copy()
+        g = self.grams.stiffness.copy()
         b = mT(normal_derivative) @ weighted_trace
         if self.n_km2:
             lap = monomial_laplacian_map(self.degree, self.geometry.diameter)
@@ -398,9 +399,9 @@ class ElementOperators:
     pi_zero_y = _Slot()
 
     def __init__(self, mesh: PolygonalMesh, cell_index: int, degree: int, *,
-                 basis_kind: str = "monomial", quad_boost: int = 0):
+                 basis_kind: str = "monomial"):
         self._bind(ElementGroup(mesh, mesh.cell_group([cell_index]), degree,
-                                basis_kind=basis_kind, quad_boost=quad_boost), 0)
+                                basis_kind=basis_kind), 0)
 
     @classmethod
     def view(cls, group: ElementGroup, slot: int) -> "ElementOperators":

@@ -112,8 +112,13 @@ def check_cfl(system: GlobalSystem, dt: float, solver) -> CflEstimate:
 
 
 def step_count(final_time: float, dt: float) -> int:
-    """Number of steps of size dt that reach final_time; ValueError unless
-    final_time is an integer multiple of dt (to 1e-10 relative)."""
+    """Number of steps of size dt that reach final_time; ValueError unless dt
+    is finite and > 0, final_time finite and >= 0, and final_time an integer
+    multiple of dt (to 1e-10 relative)."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0 (got {dt:g})")
+    if not (np.isfinite(final_time) and final_time >= 0):
+        raise ValueError(f"final time must be finite and >= 0 (got {final_time:g})")
     n_steps = int(round(final_time / dt))
     if abs(n_steps * dt - final_time) > 1e-10 * final_time:
         raise ValueError(f"final time {final_time:g} is not an integer multiple "

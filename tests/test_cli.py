@@ -5,8 +5,9 @@ import scipy.linalg as la
 from vemwave import harness
 from vemwave.assembly import Material, assemble_global
 from vemwave.cli import main
+from vemwave.dispersion import anisotropy_sweep
 from vemwave.mesh import generate_family, write_mesh
-from vemwave.timestep import save_checkpoint
+from vemwave.timestep import discrete_energy, save_checkpoint
 
 
 class TestDispersionCommand:
@@ -70,6 +71,20 @@ class TestConvergenceCommand:
         assert strip(a) == strip(b)
 
 
+class TestPrefineCommand:
+    def test_csv(self, tmp_path):
+        code = main(["prefine", "--kmax", "2", "--basis", "orthonormal", "--dt", "1e-3",
+                     "--T", "0.01", "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "prefine.csv").read_text().splitlines()
+        assert lines[0] == "basis,k,ndofs,err_l2,err_h1,max_condition"
+        assert len(lines) == 3
+        r = harness.run_p_refinement([2], 1e-3, 0.01, basis_kinds=("orthonormal",),
+                                     seed=2)[0]
+        assert lines[2] == (f"orthonormal,2,{r.n_dofs},{r.err_l2:.12e},"
+                            f"{r.err_h1:.12e},{r.max_condition:.3e}")
+
+
 class TestCflCommand:
     def test_runs(self, tmp_path):
         code = main(["cfl", "--grids", "quad", "--kmin", "1", "--kmax", "2",
@@ -97,7 +112,12 @@ class TestAnisotropyCommand:
         code = main(["anisotropy", "--grid", "quad", "--k", "1", "--delta", "0.2",
                      "--angles", "8", "--out", str(tmp_path)])
         assert code == 0
-        assert len((tmp_path / "anisotropy.csv").read_text().splitlines()) == 9
+        lines = (tmp_path / "anisotropy.csv").read_text().splitlines()
+        assert lines[0] == "theta,ratio_s,ratio_p"
+        assert len(lines) == 9
+        row = anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=8)[3]
+        assert lines[4] == (f"{row['theta']:.12g},{row['ratio_s']:.12e},"
+                            f"{row['ratio_p']:.12e}")
 
     def test_too_few_angles_exit_2(self, tmp_path, capsys):
         code = main(["anisotropy", "--grid", "quad", "--k", "1", "--angles", "4",
@@ -187,6 +207,21 @@ class TestSolveCommand:
         assert (tmp_path / "final_state.ckpt").read_bytes() == \
             (tmp_path / "expected.ckpt").read_bytes()
 
+    def test_energy_csv(self, tmp_path):
+        mesh = generate_family("random_quad", 0, seed=0)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        code = main(["solve", "--mesh", str(path), "--T", "0.1", "--dt", "1e-3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        # one energy sample every 100 steps
+        material = Material(1.0, 1.0, 1.0)
+        system = assemble_global(mesh, 1, material)
+        state = harness.solve_benchmark(system, harness.standing_wave_benchmark(material),
+                                        1e-3, 0.1)
+        assert (tmp_path / "energy.csv").read_text().splitlines() == [
+            "step,energy", f"100,{discrete_energy(state, system):.12e}"]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
@@ -246,9 +281,11 @@ class TestConfigFile:
                                                 ("true", (1e-4, 1.0))])
     def test_store_true_flag(self, tmp_path, monkeypatch, text, expected):
         seen = []
-        monkeypatch.setattr(harness, "run_convergence",
-                            lambda family, degrees, levels, dt, T, seed: seen.append((dt, T)))
-        monkeypatch.setattr(harness, "write_convergence_csv", lambda study, path: None)
+        def run_convergence(family, degrees, levels, dt, T, seed):
+            seen.append((dt, T))
+            return harness.ConvergenceStudy()
+
+        monkeypatch.setattr(harness, "run_convergence", run_convergence)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"paper_scale = {text}\n")
         code = main(["--config", str(cfg), "convergence", "--k", "1", "--levels", "1",

@@ -7,6 +7,7 @@ import scipy.linalg as la
 
 from vemwave import dispersion
 from vemwave.assembly import Material, assemble_global
+from vemwave.cli import main
 from vemwave.dispersion import (
     DispersionConfig,
     UnstableTimestepError,
@@ -17,8 +18,6 @@ from vemwave.dispersion import (
     fullydiscrete_dispersion,
     reference_system,
     semidiscrete_dispersion,
-    write_cfl_csv,
-    write_dispersion_csv,
 )
 from vemwave.mesh import (
     PERIODIC_GRIDS,
@@ -274,14 +273,6 @@ class TestSemidiscrete:
         order = np.log2(errs[0] / errs[1])
         assert order > 2.0 * 2 - 1.3  # brackets the expected even-degree order
 
-    def test_scale_invariance(self):
-        base = DispersionConfig("tria", 2, 0.1, 0.3, 2.0)
-        scaled = DispersionConfig("tria", 2, 0.1, 0.3, 2.0, rho=3.7)
-        a = semidiscrete_dispersion(base)
-        b = semidiscrete_dispersion(scaled)
-        assert abs(a.e_p - b.e_p) < 1e-12
-        assert abs(a.e_s - b.e_s) < 1e-12
-
     def test_square_symmetries(self):
         theta = 0.35
         ratios = {}
@@ -380,8 +371,7 @@ class TestCflParameter:
     @pytest.mark.parametrize("kwargs, word", [
         (dict(delta=0.0), "delta"), (dict(delta=-0.2), "delta"),
         (dict(speed_ratio=1.0), "speed ratio"), (dict(grid="nope"), "grid"),
-        (dict(degree=0), "degree"), (dict(n_angles=0), "n_angles"),
-        (dict(rho=0.0), "rho"), (dict(c_p=-1.0), "c_p")])
+        (dict(degree=0), "degree"), (dict(n_angles=0), "n_angles")])
     def test_validation(self, kwargs, word):
         args = dict(grid="quad", degree=1, delta=0.2, speed_ratio=2.0)
         with pytest.raises(ValueError, match=word):
@@ -429,16 +419,19 @@ class TestSweepsAndCsv:
             anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=4)
 
     def test_csv_schemas(self, tmp_path):
-        cfg = DispersionConfig("quad", 1, 0.2, np.pi / 4, 2.0)
-        res = semidiscrete_dispersion(cfg)
-        path = tmp_path / "dispersion.csv"
-        write_dispersion_csv([res], path)
-        lines = path.read_text().splitlines()
+        """The two CSVs of this module's results, as the CLI writes them."""
+        main(["dispersion", "--grid", "quad", "--k", "1", "--delta", "0.2",
+              "--out", str(tmp_path)])
+        lines = (tmp_path / "dispersion.csv").read_text().splitlines()
         assert lines[0] == "grid,k,delta,theta,r,q_rel,e_P,e_S,im_omega_max"
         assert len(lines) == 2
-        path2 = tmp_path / "cfl.csv"
-        write_cfl_csv([("quad", 1, 0.5)], path2)
-        assert path2.read_text().splitlines()[0] == "grid,k,q_cfl"
+        res = semidiscrete_dispersion(DispersionConfig("quad", 1, 0.2, np.pi / 4, 2.0))
+        assert lines[1].split(",")[6:] == [f"{res.e_p:.12e}", f"{res.e_s:.12e}",
+                                           f"{res.im_omega_max:.12e}"]
+        main(["cfl", "--grids", "quad", "--kmin", "1", "--kmax", "1",
+              "--out", str(tmp_path)])
+        assert (tmp_path / "cfl.csv").read_text().splitlines() == [
+            "grid,k,q_cfl", f"quad,1,{cfl_parameter('quad', 1, 0.2, 2.0):.12e}"]
 
     def test_mode_identification_tie_flagged(self):
         from vemwave.dispersion import _identify_modes
@@ -457,7 +450,3 @@ class TestSweepsAndCsv:
             DispersionConfig("nope", 1, 0.2, 0.0, 2.0)
         with pytest.raises(ValueError):
             DispersionConfig("quad", 1, 0.2, 7.0, 2.0)
-        with pytest.raises(ValueError, match="rho"):
-            DispersionConfig("quad", 1, 0.2, 0.0, 2.0, rho=0.0)
-        with pytest.raises(ValueError, match="c_p"):
-            DispersionConfig("quad", 1, 0.2, 0.0, 2.0, c_p=0.0)

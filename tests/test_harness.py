@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vemwave.assembly import Material, assemble_global, interpolate
+from vemwave.cli import main
 from vemwave.harness import (
     ConvergenceStudy,
     error_norms,
@@ -9,7 +10,6 @@ from vemwave.harness import (
     run_p_refinement,
     solve_benchmark,
     standing_wave_benchmark,
-    write_convergence_csv,
 )
 from vemwave.mesh import generate_family
 
@@ -178,12 +178,24 @@ class TestConvergenceDriver:
         assert all(abs(s - 2.0) < 1e-12 for s in incs)
 
     def test_csv(self, tmp_path):
-        study = run_convergence("random_quad", [1], range(1), 1e-3, 0.01, seed=0)
-        path = tmp_path / "convergence.csv"
-        write_convergence_csv(study, path)
-        lines = path.read_text().splitlines()
+        """The study's CSV, as `vemwave convergence` writes it."""
+        assert main(["convergence", "--family", "quad", "--k", "1", "--levels", "1",
+                     "--dt", "1e-3", "--T", "0.01", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
         assert lines[0] == "family,k,level,h,ndofs,err_l2,err_h1,seconds"
         assert len(lines) == 2
+        r = run_convergence("random_quad", [1], range(1), 1e-3, 0.01, seed=0).records[0]
+        assert lines[1].split(",")[:-1] == [
+            "random_quad", "1", "0", f"{r.h:.12e}", str(r.n_dofs),
+            f"{r.err_l2:.12e}", f"{r.err_h1:.12e}"]
+
+    @pytest.mark.parametrize("dt", [-5e-4, 0.0])
+    def test_non_positive_dt_rejected(self, material, dt):
+        system = assemble_global(generate_family("random_quad", 0), 1, material)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            solve_benchmark(system, standing_wave_benchmark(material), dt, 0.1)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            run_convergence("random_quad", [1], range(1), dt, 0.1)
 
 
 class TestPRefinement:
@@ -202,3 +214,13 @@ class TestPRefinement:
         ortho = next(r for r in recs if r.basis_kind == "orthonormal")
         assert mono.err_l2 >= ortho.err_l2
         assert mono.max_condition > 1e3 * ortho.max_condition
+
+    def test_singular_monomial_projector_recorded(self):
+        """At k = 10 on the seed-1 mesh the monomial elliptic projector system
+        is singular (ProjectorError, cond ~ 1.7e15): a recorded failure, not an
+        abort of the study."""
+        recs = run_p_refinement([10], 1e-3, 0.001, basis_kinds=("monomial",), seed=1)
+        assert len(recs) == 1
+        r = recs[0]
+        assert r.conditioning_failure and r.degree == 10 and r.n_dofs == 0
+        assert np.isnan(r.err_l2) and np.isinf(r.max_condition)

@@ -76,10 +76,11 @@ class TestDofFunctionals:
         assert abs(dofs[lay.interior_dofs[0]] - 1.0) < 1e-13
 
     def test_sine_cell_moment(self, unit_square_mesh):
-        ops = ElementOperators(unit_square_mesh, 0, 2, quad_boost=16)
-        dofs = ops.dof_functionals(
-            lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
-        assert abs(dofs[ops.layout.interior_dofs[0]] - 4.0 / np.pi ** 2) < 1e-9
+        # x^2 y^2 has degree 4 <= 2k + 2, so the cell rule integrates it exactly:
+        # its mean over the unit square is 1/9
+        ops = ElementOperators(unit_square_mesh, 0, 2)
+        dofs = ops.dof_functionals(lambda p: p[:, 0] ** 2 * p[:, 1] ** 2)
+        assert abs(dofs[ops.layout.interior_dofs[0]] - 1.0 / 9.0) < 1e-14
 
 
     @pytest.mark.parametrize("degree", [1, 2, 3])

@@ -192,6 +192,16 @@ class TestStepCount:
         with pytest.raises(ValueError, match="multiple"):
             ts.step_count(0.0105, 1e-3)
 
+    @pytest.mark.parametrize("dt", [-5e-4, 0.0, float("nan"), float("inf")])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            ts.step_count(0.1, dt)
+
+    @pytest.mark.parametrize("final_time", [-0.1, float("nan"), float("inf")])
+    def test_rejects_bad_final_time(self, final_time):
+        with pytest.raises(ValueError, match="final time must be finite and >= 0"):
+            ts.step_count(final_time, 1e-3)
+
 
 class TestConservation:
     def test_energy_drift(self):
