@@ -82,6 +82,11 @@ class DispersionConfig:
 
 @dataclass(frozen=True)
 class BlochReduction:
+    """The reduced pencil at one wavevector.  ``mass`` and ``stiffness`` are
+    exactly Hermitian complex arrays in column-major (Fortran) order, LAPACK's
+    layout, so the eigensolvers take them without a copy; a solve overwrites
+    them."""
+
     mass: np.ndarray
     stiffness: np.ndarray
     wavevector: np.ndarray
@@ -125,6 +130,32 @@ def reference_system(grid: str, degree: int, material: Material) -> GlobalSystem
     return assemble_global(mesh, degree, material, eliminate_dirichlet=False)
 
 
+# side of the square blocks of the in-place Hermitian average (256 KiB each)
+_BLOCK = 128
+
+
+def _hermitian_average(a: np.ndarray) -> None:
+    """a <- 0.5 (a + a^H) in place, by square blocks, so that no n x n temporary
+    is made.  Both blocks of a pair are computed from the unmodified entries,
+    with the same operations as the whole-array expression (an addition
+    commutes exactly), so the result is byte-identical to it, signed zeros
+    included."""
+    n = a.shape[0]
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        for j in range(i, n, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            upper = a[cols, rows].conj().T
+            upper += a[rows, cols]
+            upper *= 0.5
+            if j > i:
+                lower = a[rows, cols].conj().T
+                lower += a[cols, rows]
+                lower *= 0.5
+                a[cols, rows] = lower
+            a[rows, cols] = upper
+
+
 class _BlochPlan:
     """The wavevector-independent half of the Bloch reduction of one system.
 
@@ -132,8 +163,8 @@ class _BlochPlan:
     ``offset``; ``col`` gives the reduced column of each vector DOF.  The distinct
     offsets are few (at most 4 on a periodic cell), so the offset difference of a
     matrix entry is one of a small table of classes; for M and K the plan keeps
-    the COO entries with their flat reduced index ``col[r] * n + col[c]`` and
-    their class."""
+    the COO entries with their flat column-major reduced index
+    ``col[c] * n + col[r]`` and their class."""
 
     def __init__(self, system: GlobalSystem):
         mesh, dofmap = system.mesh, system.dofmap
@@ -168,25 +199,25 @@ class _BlochPlan:
         self.entries = []
         for a in (system.mass, system.stiffness):
             a = a.tocoo()
-            self.entries.append((a.data, self.col[a.row] * self.n + self.col[a.col],
+            self.entries.append((a.data, self.col[a.col] * self.n + self.col[a.row],
                                  cls[a.row] * n_off + cls[a.col]))
 
     def reduce(self, kvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P^H M P, P^H K P) at the wavevector ``kvec``: one phase per offset
-        class, exactly 1 for a zero difference, then per matrix two bincounts
-        written into the real and imaginary parts of one complex array, which is
-        made Hermitian in place."""
+        """(P^H M P, P^H K P) at the wavevector ``kvec``, in column-major order:
+        one phase per offset class, exactly 1 for a zero difference, then per
+        matrix the real and imaginary weights are summed in entry order, as
+        ``np.bincount`` would but with no n^2 temporary, straight into the parts
+        of one zeroed complex array, which is made Hermitian in place.  A real
+        weight can differ from the real part of the complex product only in the
+        sign of a zero, which no sum started at +0.0 can show."""
         phase = np.exp(1j * (kvec[0] * self.diff[:, 0] + kvec[1] * self.diff[:, 1]))
-        nn = self.n * self.n
         out = []
         for data, idx, cls in self.entries:
-            w = data * phase[cls]
-            red = np.empty((self.n, self.n), dtype=complex)
-            flat = red.reshape(nn)
-            flat.real = np.bincount(idx, w.real, nn)
-            flat.imag = np.bincount(idx, w.imag, nn)
-            red += red.conj().T
-            red *= 0.5
+            flat = np.zeros(self.n * self.n, dtype=complex)
+            np.add.at(flat.real, idx, data * phase.real[cls])
+            np.add.at(flat.imag, idx, data * phase.imag[cls])
+            red = flat.reshape(self.n, self.n, order="F")
+            _hermitian_average(red)
             out.append(red)
         return out[0], out[1]
 
@@ -224,15 +255,20 @@ def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction
 def _pencil_eigvals(red: BlochReduction, largest_only: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the reduced pencil (K, M), or its largest alone.
 
-    The full spectrum uses LAPACK's ``hegv``: SciPy queries its workspace size,
-    while its default ``hegvd`` gets no workspace query, runs with the minimal
-    workspace and so falls back to the unblocked tridiagonal reduction.  The
-    largest eigenvalue alone goes through SciPy's subset driver ``hegvx``."""
+    The solve consumes the pencil: LAPACK overwrites ``red.mass`` and
+    ``red.stiffness`` in place, which the column-major layout allows without a
+    copy.  The full spectrum uses LAPACK's ``hegv``: SciPy queries its
+    workspace size, while its default ``hegvd`` gets no workspace query, runs
+    with the minimal workspace and so falls back to the unblocked tridiagonal
+    reduction.  The largest eigenvalue alone goes through SciPy's subset driver
+    ``hegvx``."""
     if largest_only:
         n = red.mass.shape[0]
         return la.eigh(red.stiffness, red.mass, eigvals_only=True,
-                       subset_by_index=[n - 1, n - 1])
-    return la.eigh(red.stiffness, red.mass, eigvals_only=True, driver="gv")
+                       subset_by_index=[n - 1, n - 1],
+                       overwrite_a=True, overwrite_b=True)
+    return la.eigh(red.stiffness, red.mass, eigvals_only=True, driver="gv",
+                   overwrite_a=True, overwrite_b=True)
 
 
 def _identify_modes(eigenvalues: np.ndarray, omega_exact: float,
@@ -360,11 +396,7 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
     lam_max = 0.0
     for theta in thetas:
         kvec = knorm * np.array([np.cos(theta), np.sin(theta)])
-        # kept bound until the next pencil is built: freeing each pencil before
-        # the next reduce (allocator page reuse) made the c3 k = 3 sweep 10-15 %
-        # slower on a 2-core x86_64 host
-        red = bloch_reduce(system, kvec)
-        lam = _pencil_eigvals(red, largest_only=True)
+        lam = _pencil_eigvals(bloch_reduce(system, kvec), largest_only=True)
         lam_max = max(lam_max, float(lam[0]))
     return 2.0 * material.c_p / np.sqrt(lam_max)
 
@@ -386,12 +418,23 @@ def anisotropy_sweep(grid: str, degree: int, delta: float, speed_ratio: float,
 
 def dissipation_check(config: DispersionConfig) -> float:
     """Maximal relative imaginary part of the computed frequencies, from the
-    general (non-Hermitian) eigenvalue solver; <= 1e-10 means non-dissipative."""
+    general (non-Hermitian) eigenvalue solver; <= 1e-10 means non-dissipative.
+
+    The QZ solve is LAPACK's ``ggev`` called directly, without eigenvectors,
+    and it consumes the reduced pencil in place.  ``la.eig`` would make the
+    same solve, but its workspace query allocates both n x n eigenvector
+    matrices and copies K and M: about six pencils at its peak, against under
+    three here."""
     material = config.material
     system = reference_system(config.grid, config.degree, material)
     red = bloch_reduce(system, config.wavevector())
-    lam = la.eig(red.stiffness, red.mass, right=False)
-    omegas = np.sqrt(lam.astype(complex))
+    args = dict(compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1)
+    work = la.lapack.zggev(red.stiffness, red.mass, lwork=-1, **args)[-2]
+    alpha, beta, *_, info = la.lapack.zggev(red.stiffness, red.mass,
+                                            lwork=int(work[0].real), **args)
+    if info:
+        raise la.LinAlgError(f"generalized eig algorithm (ggev) failed (info = {info})")
+    omegas = np.sqrt(alpha / beta)
     mags = np.abs(omegas)
     mags[mags == 0.0] = 1.0
     return float(np.max(np.abs(omegas.imag) / mags))

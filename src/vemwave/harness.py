@@ -182,6 +182,7 @@ def run_convergence(family: str, degrees, levels, dt: float, final_time: float,
     """Assemble, integrate, and measure errors for each (level, degree) pair."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
+    ts.step_count(final_time, dt)
     problem = standing_wave_benchmark(material)
     study = ConvergenceStudy()
     for level in levels:
@@ -218,6 +219,7 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
     An ill-conditioned build is recorded as a conditioning failure, not raised:
     the orthonormalization of the basis (BasisConditioningError) or the elliptic
     projector system (ProjectorError, the monomial basis at high degree)."""
+    ts.step_count(final_time, dt)
     mesh = generate_family("random_quad", 0, seed)
     problem = standing_wave_benchmark(material)
     records = []

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -142,12 +143,13 @@ class TestScatterReductionOracle:
 
 
 def reference_reduce(plan, kvec):
-    """The scatter as first written: a complex sum of the two bincounts, then
-    a Hermitian average into a new array."""
+    """The scatter as first written: a complex sum of the two bincounts at the
+    row-major index, then a Hermitian average into a new array."""
     phase = np.exp(1j * (kvec[0] * plan.diff[:, 0] + kvec[1] * plan.diff[:, 1]))
     nn = plan.n * plan.n
     out = []
-    for data, idx, cls in plan.entries:
+    for data, col_major, cls in plan.entries:
+        idx = (col_major % plan.n) * plan.n + col_major // plan.n
         w = data * phase[cls]
         red = (np.bincount(idx, w.real, nn)
                + 1j * np.bincount(idx, w.imag, nn)).reshape(plan.n, plan.n)
@@ -157,7 +159,7 @@ def reference_reduce(plan, kvec):
 
 class TestInPlaceScatter:
     @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
-    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_byte_identical_to_reference(self, grid, degree):
         mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
         system = reference_system(grid, degree, mat)
@@ -167,6 +169,53 @@ class TestInPlaceScatter:
             mass, stiffness = reference_reduce(red._plan, kvec)
             assert red.mass.tobytes() == mass.tobytes()
             assert red.stiffness.tobytes() == stiffness.tobytes()
+
+
+def traced_peak(fn):
+    """Peak traced allocation of one call of ``fn``, after a warm-up call that
+    builds the reference system and the Bloch plan."""
+    fn()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPencilMemory:
+    """Peak memory of the pencil path in pencil sizes, 16 n^2 bytes for the
+    reduced size n.  The pencils are built column-major and solved in place,
+    so a dispersion row or a dissipation check holds M, K and less than one
+    pencil more; row-major pencils copied by the LAPACK wrappers held about 4,
+    and the eigenvector workspace of SciPy's eig about 6."""
+
+    @staticmethod
+    def pencil_bytes(cfg):
+        system = reference_system(cfg.grid, cfg.degree, cfg.material)
+        return bloch_reduce(system, cfg.wavevector()).mass.nbytes
+
+    @pytest.mark.parametrize("degree", [4, 5])
+    def test_dispersion_row(self, degree):
+        cfg = DispersionConfig("c3", degree, 0.2, 0.7, 2.0)
+        pencil = self.pencil_bytes(cfg)
+        assert traced_peak(lambda: semidiscrete_dispersion(cfg)) <= 3.2 * pencil
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_dissipation_check(self, degree):
+        cfg = DispersionConfig("c3", degree, 0.2, np.pi / 4, 2.0)
+        pencil = self.pencil_bytes(cfg)
+        assert traced_peak(lambda: dissipation_check(cfg)) <= 3.2 * pencil
+
+    @pytest.mark.parametrize("grid, degree", [(g, 2) for g in PERIODIC_GRIDS]
+                             + [("c3", 4), ("c1", 5)])
+    def test_column_major_and_exactly_hermitian(self, grid, degree):
+        red = reduced_pencil(grid, degree, [0.9, -1.7])
+        for m in (red.mass, red.stiffness):
+            assert m.flags.f_contiguous
+            # by value: a real diagonal entry's imaginary +0.0 conjugates to -0.0
+            assert np.array_equal(m, m.conj().T)
 
 
 def periodic_tiling(grid, n):
@@ -207,7 +256,7 @@ class TestSupercellOracle:
 
 class TestPencilEigvals:
     """The full spectrum comes from LAPACK's hegv; SciPy's default hegvd is the
-    oracle."""
+    oracle.  The solve consumes its pencil, so the oracle reduces afresh."""
 
     @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -216,8 +265,8 @@ class TestPencilEigvals:
         system = reference_system(grid, degree, mat)
         for theta in (0.3, 2.0):
             kvec = 2.0 * np.pi * degree * 0.2 * np.array([np.cos(theta), np.sin(theta)])
+            lam = dispersion._pencil_eigvals(bloch_reduce(system, kvec))
             red = bloch_reduce(system, kvec)
-            lam = dispersion._pencil_eigvals(red)
             ref = la.eigh(red.stiffness, red.mass, eigvals_only=True, driver="gvd")
             assert lam.shape == ref.shape
             assert np.abs(lam - ref).max() <= 1e-12 * ref.max()
@@ -396,15 +445,18 @@ class TestDissipation:
     @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
     def test_general_solver_on_fresh_pencil(self, grid):
         """The check is the general (QZ) solve of the reduced pencil, whose
-        round-off criterion 5 reports."""
-        cfg = DispersionConfig(grid, 2, 0.2, np.pi / 4, 2.0)
-        system = reference_system(grid, 2, cfg.material)
-        red = bloch_reduce(system, cfg.wavevector())
-        omegas = np.sqrt(la.eig(red.stiffness, red.mass, right=False).astype(complex))
-        mags = np.abs(omegas)
-        mags[mags == 0.0] = 1.0
-        expected = float(np.max(np.abs(omegas.imag) / mags))
-        assert np.float64(dissipation_check(cfg)).tobytes() == np.float64(expected).tobytes()
+        round-off criterion 5 reports: the direct ggev call is bitwise equal
+        to SciPy's eig on the criterion-5 set, k = 1-4."""
+        for degree in (1, 2, 3, 4):
+            cfg = DispersionConfig(grid, degree, 0.2, np.pi / 4, 2.0)
+            system = reference_system(grid, degree, cfg.material)
+            red = bloch_reduce(system, cfg.wavevector())
+            omegas = np.sqrt(la.eig(red.stiffness, red.mass, right=False).astype(complex))
+            mags = np.abs(omegas)
+            mags[mags == 0.0] = 1.0
+            expected = float(np.max(np.abs(omegas.imag) / mags))
+            got = dissipation_check(cfg)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), degree
 
 
 class TestSweepsAndCsv:

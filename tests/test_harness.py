@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vemwave import harness
 from vemwave.assembly import Material, assemble_global, interpolate
 from vemwave.cli import main
 from vemwave.harness import (
@@ -196,6 +197,22 @@ class TestConvergenceDriver:
             solve_benchmark(system, standing_wave_benchmark(material), dt, 0.1)
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             run_convergence("random_quad", [1], range(1), dt, 0.1)
+
+    @pytest.mark.parametrize("dt, final_time, message", [
+        (0.0, 0.1, "dt must be finite and > 0"),
+        (-5e-4, 0.1, "dt must be finite and > 0"),
+        (3e-4, 0.1, "not an integer multiple"),
+    ])
+    def test_bad_step_rejected_before_any_mesh(self, monkeypatch, dt, final_time,
+                                               message):
+        def no_mesh(*args):
+            raise AssertionError("a mesh was built before dt was checked")
+
+        monkeypatch.setattr(harness, "generate_family", no_mesh)
+        with pytest.raises(ValueError, match=message):
+            run_convergence("random_quad", [1], range(1), dt, final_time)
+        with pytest.raises(ValueError, match=message):
+            run_p_refinement([1], dt, final_time)
 
 
 class TestPRefinement:
