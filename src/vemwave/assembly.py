@@ -2,7 +2,9 @@
 and Dirichlet elimination."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,17 +16,22 @@ from .projectors import DofMap, ElementGroup, ElementOperators, build_element_op
 
 @dataclass(frozen=True)
 class Material:
-    """Homogeneous isotropic material: density and Lame coefficients."""
+    """Homogeneous isotropic material: density and Lame coefficients.
+
+    The one validation site of the material: rho and mu finite and > 0, lam
+    finite and >= 0; an error names the field."""
 
     rho: float
     lam: float
     mu: float
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("density must be positive")
-        if self.mu < 0 or self.lam < 0:
-            raise ValueError("Lame coefficients must be nonnegative")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be finite and > 0 (got {self.rho:g})")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and > 0 (got {self.mu:g})")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0 (got {self.lam:g})")
 
     @property
     def c_p(self) -> float:
@@ -97,12 +104,15 @@ def local_stiffness(ops: ElementOperators | ElementGroup, material: Material) ->
 
 class GlobalSystem:
     """Assembled sparse mass/stiffness over the free (non-Dirichlet) vector DOFs,
-    with the element groups (``groups``) and their per-cell views (``ops``, in
-    cell order) retained for loads, interpolation and errors.
+    with the element groups (``groups``, the batches of ``build_element_groups``)
+    and their per-cell views (``ops``, in cell order) retained for loads,
+    interpolation and errors.
 
     Free vector DOFs are ordered [x-free | y-free], and both components keep the
     same scalar DOFs, so the vector mass is ``blockdiag(scalar_mass,
-    scalar_mass)``; ``mass`` stores only those two blocks."""
+    scalar_mass)``.  The solve path applies ``scalar_mass`` per component; the
+    block matrix ``mass`` stores only those two blocks and is built on its first
+    read."""
 
     def __init__(self, mesh: PolygonalMesh, degree: int, material: Material,
                  dofmap: DofMap, ops: list[ElementOperators],
@@ -116,9 +126,12 @@ class GlobalSystem:
         self.ops = ops
         self.groups = groups
         self.scalar_mass = scalar_mass
-        self.mass = sp.block_diag((scalar_mass, scalar_mass), format="csr")
         self.stiffness = stiffness
         self.free = free
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        return sp.block_diag((self.scalar_mass, self.scalar_mass), format="csr")
 
     @property
     def n_free(self) -> int:
@@ -133,39 +146,50 @@ class GlobalSystem:
         return full
 
 
-def _scatter(groups, dofs, local, size: int) -> sp.csr_matrix:
+def _scatter(groups, dofs, local, size: int, free: np.ndarray) -> sp.csr_matrix:
     """Sum of the local matrices ``local(group)`` (G, m, m) placed at the DOFs
-    ``dofs`` (G, m) of each group, as a (size, size) CSR matrix.  The COO arrays
-    are filled in place, one group at a time, to keep the assembly peak low."""
-    total = sum(d.size * d.shape[1] for d in dofs)
+    ``dofs`` (G, m) of each group, restricted to the sorted DOFs ``free``, as a
+    (len(free), len(free)) CSR matrix.
+
+    The COO arrays hold only the rows of ``free``: they are filled in place, one
+    group at a time and in cell order, with the other rows dropped before the
+    CSR conversion, and the free columns are selected once on the CSR.  Every
+    kept row thus has the entry sequence of the unrestricted COO, so the sort
+    and sum of its duplicates, and the result, are byte for byte those of
+    ``full[free][:, free]``.  Dropping columns first would change that sequence."""
     index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    row_of = np.full(size, -1, dtype=index)
+    row_of[free] = np.arange(len(free))
+    kept = [row_of[d] >= 0 for d in dofs]
+    total = sum(int(k.sum()) * d.shape[1] for k, d in zip(kept, dofs))
     rows = np.empty(total, dtype=index)
     cols = np.empty(total, dtype=index)
     vals = np.empty(total)
     start = 0
-    for group, d in zip(groups, dofs):
-        g, m = d.shape
-        block = slice(start, start + g * m * m)
-        rows[block].reshape(g, m, m)[...] = d[:, :, None]
-        cols[block].reshape(g, m, m)[...] = d[:, None, :]
-        vals[block].reshape(g, m, m)[...] = local(group)
+    for group, d, k in zip(groups, dofs, kept):
+        r, m = int(k.sum()), d.shape[1]
+        block = slice(start, start + r * m)
+        rows[block].reshape(r, m)[...] = row_of[d[k]][:, None]
+        cols[block].reshape(r, m)[...] = np.broadcast_to(d[:, None, :], k.shape + (m,))[k]
+        vals[block].reshape(r, m)[...] = local(group)[k]
         start = block.stop
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    kept_rows = sp.coo_matrix((vals, (rows, cols)), shape=(len(free), size)).tocsr()
+    del rows, cols, vals  # the column selection copies the CSR
+    return kept_rows if len(free) == size else kept_rows[:, free]
 
 
 def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
                     eliminate_dirichlet: bool = True,
                     basis_kind: str = "monomial") -> GlobalSystem:
+    """The GlobalSystem of ``mesh`` at ``degree``: element groups built and
+    scattered one batch at a time, with the Dirichlet DOFs eliminated exactly
+    unless ``eliminate_dirichlet`` is False."""
     dofmap = DofMap(mesh, degree)
     ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
-    groups = [ops[cells.index[0]].group for cells in mesh.cell_groups()]
+    # the batches in build order: by vertex count, then by first cell
+    groups = sorted({op.group: None for op in ops},
+                    key=lambda g: (g.layout.n_vertices, g.cells.index[0]))
     n, n_s = dofmap.n_vector, dofmap.n_scalar
-    sdofs = [dofmap.group_scalar_dofs(group.cells) for group in groups]
-    stiff = _scatter(groups, [np.concatenate([d, d + n_s], axis=1) for d in sdofs],
-                     lambda group: local_stiffness(group, material), n)
-    mass = _scatter(groups, sdofs,
-                    lambda group: local_scalar_mass(group, material), n_s)
-
     if eliminate_dirichlet:
         fixed_scalar = dofmap.dirichlet_scalar_dofs()
         if len(fixed_scalar) == 0:
@@ -174,21 +198,24 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
                 "no edges are tagged dirichlet")
         keep = np.ones(n_s, dtype=bool)
         keep[fixed_scalar] = False
-        free_scalar = np.where(keep)[0]
-        free = np.concatenate([free_scalar, free_scalar + n_s])
-        mass = mass[free_scalar][:, free_scalar].tocsr()
-        stiff = stiff[free][:, free].tocsr()
+        free_scalar = np.flatnonzero(keep)
     else:
-        free = np.arange(n)
+        free_scalar = np.arange(n_s)
+    free = np.concatenate([free_scalar, free_scalar + n_s])
+    sdofs = [dofmap.group_scalar_dofs(group.cells) for group in groups]
+    stiff = _scatter(groups, [np.concatenate([d, d + n_s], axis=1) for d in sdofs],
+                     lambda group: local_stiffness(group, material), n, free)
+    mass = _scatter(groups, sdofs, lambda group: local_scalar_mass(group, material),
+                    n_s, free_scalar)
     return GlobalSystem(mesh, degree, material, dofmap, ops, groups, mass, stiff, free)
 
 
 def interpolate(system: GlobalSystem, field) -> np.ndarray:
     """Full vector DOF array of the virtual element interpolant of a vector field.
 
-    ``field(points) -> (n, 2)`` values, called once per point set of each group;
-    the result has the Dirichlet DOFs included (use system.restrict for the free
-    part)."""
+    ``field(points) -> (n, 2)`` values, called once per point set of each batch
+    of ``system.groups``; the result has the Dirichlet DOFs included (use
+    system.restrict for the free part)."""
     dofmap = system.dofmap
     out = np.zeros(dofmap.n_vector)
     for group in system.groups:
@@ -205,7 +232,7 @@ def assemble_load(system: GlobalSystem, body_force=None, neumann=None,
 
     The volume term pairs f with the computable degree-k projection Pi0_k phi_i,
     which keeps the L2 convergence at order k + 1.  Each callback is called once
-    per group with all its points."""
+    per batch of ``system.groups`` with all its points."""
     dofmap = system.dofmap
     n_s = dofmap.n_scalar
     full = np.zeros(dofmap.n_vector)

@@ -244,12 +244,16 @@ def _cmd_solve(args, out):
         timestep.step_count(args.T, args.dt)
     except ValueError as exc:
         raise ConfigError(f"--T: {exc}") from None
+    try:
+        material = Material(args.rho, args.lam, args.mu)
+    except ValueError as exc:
+        # Material names the field, and each field's flag has its name
+        raise ConfigError(f"--{exc}") from None
     mesh_path = Path(args.mesh)
     if not mesh_path.exists():
         print(f"error: mesh file not found: {mesh_path}", file=sys.stderr)
         return 1
     mesh = read_mesh(mesh_path)
-    material = Material(args.rho, args.lam, args.mu)
     system = assemble_global(mesh, args.k, material)
     every = args.snapshot_every
     log = []

@@ -5,9 +5,9 @@ edge monomials of degree <= k-2, and interior moments against the element polyno
 basis of degree <= k-2.  All projectors are returned as matrices acting on the local
 scalar DOF vector and expressed in the element polynomial basis.
 
-The machinery is built once per group of cells that share a vertex count
-(``ElementGroup``), stacked along a leading cell axis; ``ElementOperators`` is a
-per-cell view of one slot of a group.
+The machinery is built once per batch of cells that share a vertex count
+(``ElementGroup``, see ``build_element_groups``), stacked along a leading cell
+axis; ``ElementOperators`` is a per-cell view of one slot of a group.
 """
 from __future__ import annotations
 
@@ -427,11 +427,22 @@ class ElementOperators:
     dof_projector_l2 = ElementGroup.dof_projector_l2
 
 
+# cells per ElementGroup: a vertex-count group is built in batches of at most
+# this many cells, which bounds the stacked temporaries of the build and of
+# each batch's local matrices; the family meshes up to level 1 (at most 100
+# cells per group) stay one batch per group
+_BATCH = 128
+
+
 def build_element_groups(mesh: PolygonalMesh, degree: int, *,
                          basis_kind: str = "monomial") -> list[ElementGroup]:
-    """One ElementGroup per vertex count, in the order of ``mesh.cell_groups()``."""
-    return [ElementGroup(mesh, cells, degree, basis_kind=basis_kind)
-            for cells in mesh.cell_groups()]
+    """The cells of each vertex-count group of ``mesh.cell_groups()``, in that
+    order, split into consecutive batches of at most ``_BATCH`` cells; one
+    ElementGroup per batch, built one after the other."""
+    return [ElementGroup(mesh, mesh.cell_group(cells.index[start:start + _BATCH]),
+                         degree, basis_kind=basis_kind)
+            for cells in mesh.cell_groups()
+            for start in range(0, len(cells.index), _BATCH)]
 
 
 def build_element_operators(mesh: PolygonalMesh, degree: int, *,

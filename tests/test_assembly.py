@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from vemwave import projectors
 from vemwave.assembly import (
     Material,
     assemble_global,
@@ -56,12 +59,28 @@ class TestMaterial:
         with pytest.raises(ValueError):
             Material(1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["rho", "lam", "mu"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        values = {"rho": 1.0, "lam": 1.0, "mu": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Material(**values)
+
+    def test_zero_shear_modulus_rejected(self):
+        with pytest.raises(ValueError, match="^mu must be finite and > 0"):
+            Material(1.0, 1.0, 0.0)
+        assert Material(1.0, 0.0, 1.0).lam == 0.0
+
     def test_from_wave_speeds(self):
         mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
         assert abs(mat.mu - 0.5) < 1e-15
         assert abs(mat.lam - 1.0) < 1e-15
         with pytest.raises(ValueError):
             Material.from_wave_speeds(1.0, 1.0, 1.2)
+        # the Material check covers what the speed-ratio check does not
+        for rho, c_p, ratio in ((np.nan, 1.0, 2.0), (1.0, np.inf, 2.0), (1.0, 1.0, np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                Material.from_wave_speeds(rho, c_p, ratio)
 
 
 class TestLocalFemOracle:
@@ -353,6 +372,74 @@ class TestGlobalAssembly:
         ref = ref[np.ix_(system.free, system.free)]
         got = system.stiffness.toarray()
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _csr_bytes(a):
+    return a.data.tobytes(), a.indices.tobytes(), a.indptr.tobytes()
+
+
+class TestBatchedAssembly:
+    """Element groups built and scattered in batches, Dirichlet rows dropped
+    before the CSR conversion."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+    def test_elimination_is_full_restriction(self, monkeypatch, family, degree):
+        """Eliminated K and M are, byte for byte, the unconstrained assembly's
+        [free][:, free], on a level whose largest group spans several batches."""
+        monkeypatch.setattr(projectors, "_BATCH", 16)
+        mesh = generate_family(family, 1, seed=2)
+        mat = Material(1.2, 0.7, 1.1)
+        system = assemble_global(mesh, degree, mat)
+        full = assemble_global(mesh, degree, mat, eliminate_dirichlet=False)
+        assert len(system.groups) > len(mesh.cell_groups())
+        free_scalar = system.free[:len(system.free) // 2]
+        assert np.array_equal(system.free, np.concatenate(
+            [free_scalar, free_scalar + system.dofmap.n_scalar]))
+        for got, ref, keep in ((system.stiffness, full.stiffness, system.free),
+                               (system.scalar_mass, full.scalar_mass, free_scalar)):
+            assert _csr_bytes(got) == _csr_bytes(ref[keep][:, keep].tocsr())
+
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal"])
+    def test_batch_size_changes_no_byte(self, monkeypatch, family):
+        """Batches are consecutive runs of a vertex-count group, scattered in cell
+        order, so M, K and the interpolant do not depend on the batch size."""
+        mesh = generate_family(family, 1, seed=2)
+        mat = Material(1.0, 1.0, 1.0)
+        field = lambda p: np.column_stack([np.sin(p[:, 0] + 2 * p[:, 1]), p[:, 0] ** 3])
+        out = []
+        for batch in (7, 10 ** 9):
+            monkeypatch.setattr(projectors, "_BATCH", batch)
+            system = assemble_global(mesh, 3, mat)
+            out.append((_csr_bytes(system.stiffness), _csr_bytes(system.scalar_mass),
+                        interpolate(system, field).tobytes(), len(system.groups)))
+        assert out[0][:3] == out[1][:3]
+        assert out[1][3] == len(mesh.cell_groups()) < out[0][3]
+
+    def test_groups_are_batches_in_build_order(self, monkeypatch):
+        monkeypatch.setattr(projectors, "_BATCH", 8)
+        mesh = generate_family("hexagonal", 1)
+        system = assemble_global(mesh, 2, Material(1.0, 1.0, 1.0))
+        cells = [g.cells.index for g in system.groups]
+        assert max(map(len, cells)) == 8
+        assert np.array_equal(np.concatenate(cells),
+                              np.concatenate([c.index for c in mesh.cell_groups()]))
+        for op in system.ops:
+            assert any(op.group is g for g in system.groups)
+
+    def test_assembly_peak_memory(self):
+        """Traced allocation peak of the 22,822-DOF hexagonal L3 k = 3 assembly:
+        106 MB when each vertex-count group was built and scattered at once and
+        the Dirichlet rows and columns were cut from the full CSR, 72 MB now."""
+        mesh = generate_family("hexagonal", 3)
+        tracemalloc.start()
+        try:
+            system = assemble_global(mesh, 3, Material(1.0, 1.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.n_free == 22822
+        assert peak <= 75e6, f"assembly peak {peak / 1e6:.1f} MB"
 
 
 class TestLoads:

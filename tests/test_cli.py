@@ -146,6 +146,20 @@ class TestSolveCommand:
         assert code == 2
         assert flag in capsys.readouterr().err
 
+    # each used to pass Material and fail deep in a library with exit 1: a
+    # singular mass factor (nan), ARPACK error -9 (mu = lam = 0) or -9999 (inf)
+    @pytest.mark.parametrize("args, flag", [(["--rho", "nan"], "--rho"),
+                                            (["--rho", "-1"], "--rho"),
+                                            (["--mu", "0", "--lam", "0"], "--mu"),
+                                            (["--mu=-inf"], "--mu"),
+                                            (["--lam", "inf"], "--lam")])
+    def test_bad_material_exit_2_before_reading_mesh(self, tmp_path, capsys, args, flag):
+        path = tmp_path / "mesh.txt"
+        path.write_text("not a mesh\n")
+        code = main(["solve", "--mesh", str(path), *args, "--out", str(tmp_path)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
     def test_T_not_multiple_of_dt_exit_2(self, tmp_path, capsys):
         mesh = generate_family("random_quad", 0, seed=0)
         path = tmp_path / "mesh.txt"

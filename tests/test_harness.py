@@ -223,6 +223,13 @@ class TestPRefinement:
         assert abs(mono.err_l2 - ortho.err_l2) < 1e-12
         assert abs(mono.err_h1 - ortho.err_h1) < 1e-12
 
+    def test_max_condition_is_worst_cell(self):
+        """Read from the groups: the largest condition over the per-cell views."""
+        r, = run_p_refinement([3], 1e-3, 0.01, basis_kinds=("monomial",), seed=2)
+        system = assemble_global(generate_family("random_quad", 0, 2), 3, Material(1, 1, 1))
+        assert type(r.max_condition) is float
+        assert r.max_condition == max(op.projector_condition for op in system.ops)
+
     def test_monomial_conditioning_penalty_high_degree(self):
         """At k = 7 the raw monomial basis pays for its conditioning: its error
         sits above the orthonormal one and its local systems are ~1e6x worse."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vemwave.assembly import Material, assemble_global
+from vemwave.harness import solve_benchmark, standing_wave_benchmark
 from vemwave.mesh import PolygonalMesh, generate_family, reference_periodic_cell
 from vemwave import timestep as ts
 
@@ -98,6 +99,15 @@ class TestOscillator:
         with pytest.raises(ts.InstabilityError):
             for _ in range(200):
                 state = ts.step(state, system, np.zeros(1), solver)
+
+    # u^2 = dt^2 f with u^0 = u^1 = 0 and K = 0: NaN, +inf, -inf and 1e13
+    @pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf, 1e15])
+    def test_non_finite_or_huge_step_raises(self, f):
+        system = oscillator(0.0)
+        zero = np.zeros(1)
+        state = ts.SimulationState(zero, zero, 1, 0.1)
+        with pytest.raises(ts.InstabilityError, match="step 2"):
+            ts.step(state, system, np.array([f]), ts.make_solver(system))
 
     def test_energy_identity_constant(self):
         omega, dt = 2.0, 0.05
@@ -255,6 +265,35 @@ class TestMassSolver:
         assert x.shape == b.shape
         assert np.array_equal(b, b_copy)
         assert np.abs(x - x_dense).max() <= 1e-12 * np.abs(x_dense).max()
+
+
+class TestMassProduct:
+    """The solve path applies the scalar mass per component and never builds the
+    block matrix ``system.mass``."""
+
+    @pytest.mark.parametrize("constrained", [True, False],
+                             ids=["dirichlet", "periodic"])
+    def test_matches_block_mass_bytes(self, constrained):
+        mesh = generate_family("hexagonal", 1) if constrained else \
+            reference_periodic_cell("c3", 1.0)
+        system = assemble_global(mesh, 3, Material(1.0, 1.0, 1.0),
+                                 eliminate_dirichlet=constrained)
+        v = np.random.default_rng(5).standard_normal(system.n_free)
+        got = ts.mass_product(system, v)
+        assert "mass" not in vars(system)
+        assert got.tobytes() == (system.mass @ v).tobytes()
+
+    def test_solve_path_leaves_block_mass_unbuilt(self):
+        material = Material(1.0, 1.0, 1.0)
+        system = assemble_global(generate_family("hexagonal", 0), 2, material)
+        state = solve_benchmark(system, standing_wave_benchmark(material), 1e-3, 0.01)
+        energy = ts.discrete_energy(state, system)
+        est = ts.cfl_timestep(system)
+        assert "mass" not in vars(system)
+        v = (state.u_curr - state.u_prev) / state.dt
+        assert energy == float(0.5 * v @ (system.mass @ v) + 0.5 * state.u_curr
+                               @ (system.stiffness @ state.u_prev))
+        assert abs(est.lambda_max - dense_lambda_max(system)) <= 1e-5 * est.lambda_max
 
 
 class TestCheckpoint:
