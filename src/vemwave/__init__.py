@@ -3,6 +3,7 @@ on polygonal meshes, with leap-frog time stepping and plane-wave dispersion tool
 
 from .assembly import Material, assemble_global, assemble_load, interpolate
 from .mesh import (
+    ParameterError,
     PolygonalMesh,
     generate_family,
     read_mesh,
@@ -16,6 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Material",
+    "ParameterError",
     "PolygonalMesh",
     "DofMap",
     "ElementOperators",

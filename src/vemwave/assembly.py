@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import NEUMANN, PolygonalMesh
+from .mesh import NEUMANN, ParameterError, PolygonalMesh
 from .polybasis import mT
 from .projectors import DofMap, ElementGroup, ElementOperators, build_element_operators
 
@@ -27,11 +27,11 @@ class Material:
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be finite and > 0 (got {self.rho:g})")
+            raise ParameterError("rho", f"rho must be finite and > 0 (got {self.rho:g})")
         if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be finite and > 0 (got {self.mu:g})")
+            raise ParameterError("mu", f"mu must be finite and > 0 (got {self.mu:g})")
         if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0 (got {self.lam:g})")
+            raise ParameterError("lam", f"lam must be finite and >= 0 (got {self.lam:g})")
 
     @property
     def c_p(self) -> float:
@@ -45,7 +45,8 @@ class Material:
     def from_wave_speeds(cls, rho: float, c_p: float, speed_ratio: float) -> "Material":
         """Material with given P-wave speed and ratio r = c_p/c_s (requires r > sqrt(2))."""
         if speed_ratio <= np.sqrt(2.0):
-            raise ValueError("speed ratio c_p/c_s must exceed sqrt(2) for lambda >= 0")
+            raise ParameterError("speed_ratio",
+                                 "speed ratio c_p/c_s must exceed sqrt(2) for lambda >= 0")
         c_s = c_p / speed_ratio
         mu = rho * c_s ** 2
         lam = rho * (c_p ** 2 - 2.0 * c_s ** 2)
@@ -105,8 +106,7 @@ def local_stiffness(ops: ElementOperators | ElementGroup, material: Material) ->
 class GlobalSystem:
     """Assembled sparse mass/stiffness over the free (non-Dirichlet) vector DOFs,
     with the element groups (``groups``, the batches of ``build_element_groups``)
-    and their per-cell views (``ops``, in cell order) retained for loads,
-    interpolation and errors.
+    retained for loads, interpolation and errors.
 
     Free vector DOFs are ordered [x-free | y-free], and both components keep the
     same scalar DOFs, so the vector mass is ``blockdiag(scalar_mass,
@@ -115,15 +115,13 @@ class GlobalSystem:
     read."""
 
     def __init__(self, mesh: PolygonalMesh, degree: int, material: Material,
-                 dofmap: DofMap, ops: list[ElementOperators],
-                 groups: list[ElementGroup],
+                 dofmap: DofMap, groups: list[ElementGroup],
                  scalar_mass: sp.csr_matrix, stiffness: sp.csr_matrix,
                  free: np.ndarray):
         self.mesh = mesh
         self.degree = degree
         self.material = material
         self.dofmap = dofmap
-        self.ops = ops
         self.groups = groups
         self.scalar_mass = scalar_mass
         self.stiffness = stiffness
@@ -185,9 +183,9 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
     scattered one batch at a time, with the Dirichlet DOFs eliminated exactly
     unless ``eliminate_dirichlet`` is False."""
     dofmap = DofMap(mesh, degree)
-    ops = build_element_operators(mesh, degree, basis_kind=basis_kind)
     # the batches in build order: by vertex count, then by first cell
-    groups = sorted({op.group: None for op in ops},
+    groups = sorted({op.group: None for op in
+                     build_element_operators(mesh, degree, basis_kind=basis_kind)},
                     key=lambda g: (g.layout.n_vertices, g.cells.index[0]))
     n, n_s = dofmap.n_vector, dofmap.n_scalar
     if eliminate_dirichlet:
@@ -207,7 +205,7 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
                      lambda group: local_stiffness(group, material), n, free)
     mass = _scatter(groups, sdofs, lambda group: local_scalar_mass(group, material),
                     n_s, free_scalar)
-    return GlobalSystem(mesh, degree, material, dofmap, ops, groups, mass, stiff, free)
+    return GlobalSystem(mesh, degree, material, dofmap, groups, mass, stiff, free)
 
 
 def interpolate(system: GlobalSystem, field) -> np.ndarray:

@@ -11,17 +11,17 @@ import numpy as np
 from . import dispersion as disp
 from . import harness, timestep
 from .assembly import Material, assemble_global
-from .mesh import FAMILIES, PERIODIC_GRIDS, MeshError, read_mesh
+from .mesh import FAMILIES, PERIODIC_GRIDS, MeshError, ParameterError, read_mesh
+
+# the dests of the flags named otherwise than the library parameter they set
+_FLAG_DESTS = {"final_time": "T", "degree": "k", "speed_ratio": "r", "n_angles": "angles"}
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration (maps to exit code 2)."""
-
-
-def _positive(name, value):
-    if value <= 0:
-        raise ConfigError(f"--{name} must be > 0 (got {value})")
-    return value
+def _flag(parsers, name):
+    """The option string that sets the parameter ``name`` (or its plural), or None."""
+    flags = {a.dest: a.option_strings[0]
+             for p in parsers for a in p._actions if a.option_strings}
+    return flags.get(_FLAG_DESTS.get(name, name)) or flags.get(name + "s")
 
 
 def _write_csv(path, header, rows):
@@ -32,41 +32,47 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _parse_int_list(text):
+def int_list(text):  # the type of convergence --k
+    return [int(v) for v in text.split(",") if v]
+
+
+def _config_defaults(path, command):
+    """The values of a ``key = value`` file, each converted as argparse converts
+    the flag of the subparser ``command`` with that dest ('true' or 'false' for a
+    store_true flag); a fault in the file is a ParameterError of ``--config``."""
+    def error(message):
+        return ParameterError("config", message)
+
+    actions = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
     try:
-        return [int(v) for v in text.split(",") if v]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def _load_config_file(path):
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise error(str(exc)) from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, val = line.partition("=")
-        if not _:
-            raise ConfigError(f"config file line {raw!r} is not 'key = value'")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key, sep, text = line.partition("=")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        if not sep:
+            raise error(f"config file line {raw!r} is not 'key = value'")
+        action = actions.get(key)
+        if action is None:
+            raise error(f"config key {key!r} names no option of '{command.prog}'")
+        if action.nargs == 0:
+            if text not in ("true", "false"):
+                raise error(f"config key {key!r} must be true or false, got {text!r}")
+            values[key] = text == "true"
+            continue
+        try:
+            values[key] = action.type(text) if action.type is not None else text
+        except (TypeError, ValueError):
+            raise error(f"config key {key!r}: invalid value {text!r}") from None
+        if action.choices is not None and values[key] not in action.choices:
+            raise error(f"config key {key!r} must be one of {list(action.choices)}, "
+                        f"got {text!r}")
     return values
-
-
-def _config_value(action, key, text):
-    """Convert one config-file value as argparse converts the same flag; a
-    store_true flag takes 'true' or 'false'."""
-    if action.nargs == 0:
-        if text not in ("true", "false"):
-            raise ConfigError(f"config key {key!r} must be true or false, got {text!r}")
-        return text == "true"
-    try:
-        value = action.type(text) if action.type is not None else text
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r}: invalid value {text!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}, "
-                          f"got {text!r}")
-    return value
 
 
 def build_parser():
@@ -78,7 +84,7 @@ def build_parser():
     p = sub.add_parser("convergence", help="manufactured-solution h-refinement study")
     p.add_argument("--family", default="random_quad",
                    help=f"mesh family, one of {FAMILIES} (or quad/hexa/octa aliases)")
-    p.add_argument("--k", default="1,2", help="comma-separated degrees")
+    p.add_argument("--k", type=int_list, default="1,2", help="comma-separated degrees")
     p.add_argument("--levels", type=int, default=3, help="levels 0..levels-1")
     p.add_argument("--dt", type=float, default=5e-4)
     p.add_argument("--T", type=float, default=0.1)
@@ -139,38 +145,25 @@ FAMILY_ALIASES = {"quad": "random_quad", "hexa": "hexagonal", "octa": "nonconvex
 
 
 def _cmd_convergence(args, out):
-    family = FAMILY_ALIASES.get(args.family, args.family)
-    if family not in FAMILIES:
-        raise ConfigError(f"--family must be one of {FAMILIES}")
-    degrees = _parse_int_list(args.k)
-    if not degrees or min(degrees) < 1:
-        raise ConfigError("--k must list degrees >= 1")
-    if args.levels < 1:
-        raise ConfigError("--levels must be >= 1")
-    dt, final_time = args.dt, args.T
-    if args.paper_scale:
-        dt, final_time = 1e-4, 1.0
-    _positive("dt", dt)
-    _positive("T", final_time)
-    study = harness.run_convergence(family, degrees, range(args.levels), dt,
-                                    final_time, seed=args.seed)
+    dt, final_time = (1e-4, 1.0) if args.paper_scale else (args.dt, args.T)
+    study = harness.run_convergence(FAMILY_ALIASES.get(args.family, args.family),
+                                    args.k, range(args.levels), dt, final_time,
+                                    seed=args.seed)
     _write_csv(out / "convergence.csv",
                ["family", "k", "level", "h", "ndofs", "err_l2", "err_h1", "seconds"],
                ([r.family, r.degree, r.level, f"{r.h:.12e}", r.n_dofs,
                  f"{r.err_l2:.12e}", f"{r.err_h1:.12e}", f"{r.seconds:.3f}"]
                 for r in study.records))
     if args.levels >= 2:
-        for k in degrees:
+        for k in args.k:
             print(f"k={k}: L2 slope {study.slope(k, 'l2'):.3f}, "
                   f"H1 slope {study.slope(k, 'h1'):.3f}")
     return 0
 
 
 def _cmd_prefine(args, out):
-    if args.kmax < 1 or args.kmax > 10:
-        raise ConfigError("--kmax must be in 1..10")
-    _positive("dt", args.dt)
-    _positive("T", args.T)
+    if not 1 <= args.kmax <= 10:
+        raise ParameterError("kmax", f"kmax must be in 1..10 (got {args.kmax})")
     kinds = ("monomial", "orthonormal") if args.basis == "both" else (args.basis,)
     records = harness.run_p_refinement(range(1, args.kmax + 1), args.dt, args.T,
                                        basis_kinds=kinds, seed=args.seed)
@@ -182,18 +175,11 @@ def _cmd_prefine(args, out):
 
 
 def _cmd_dispersion(args, out):
-    theta = args.theta % (2 * np.pi)
-    fully_discrete = args.q_rel is not None
-    try:
-        cfg = disp.DispersionConfig(args.grid, args.k, args.delta, theta, args.r,
-                                    q_rel=args.q_rel if fully_discrete else 1.0,
-                                    p_convention=args.p_convention)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if fully_discrete:
-        result = disp.fullydiscrete_dispersion(cfg)
-    else:
-        result = disp.semidiscrete_dispersion(cfg)
+    semi = args.q_rel is None
+    cfg = disp.DispersionConfig(args.grid, args.k, args.delta, args.theta % (2 * np.pi),
+                                args.r, q_rel=1.0 if semi else args.q_rel,
+                                p_convention=args.p_convention)
+    result = (disp.semidiscrete_dispersion if semi else disp.fullydiscrete_dispersion)(cfg)
     c = result.config
     _write_csv(out / "dispersion.csv",
                ["grid", "k", "delta", "theta", "r", "q_rel", "e_P", "e_S", "im_omega_max"],
@@ -207,18 +193,14 @@ def _cmd_dispersion(args, out):
 
 def _cmd_cfl(args, out):
     grids = [g for g in args.grids.split(",") if g]
-    for g in grids:
-        if g not in PERIODIC_GRIDS:
-            raise ConfigError(f"--grids entries must be in {PERIODIC_GRIDS}")
-    if not 1 <= args.kmin <= args.kmax:
-        raise ConfigError("need 1 <= kmin <= kmax")
+    if args.kmin > args.kmax:
+        raise ParameterError("kmin", f"kmin must be <= kmax ({args.kmin} > {args.kmax})")
+    for g in grids:  # every grid's parameters, validated before the first pencil
+        disp.DispersionConfig(g, args.kmin, args.delta, 0.0, args.r)
     rows = []
     for g in grids:
         for k in range(args.kmin, args.kmax + 1):
-            try:
-                q = disp.cfl_parameter(g, k, args.delta, args.r)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            q = disp.cfl_parameter(g, k, args.delta, args.r)
             rows.append([g, k, f"{q:.12e}"])
             print(f"{g} k={k}: q_CFL = {q:.6f}")
     _write_csv(out / "cfl.csv", ["grid", "k", "q_cfl"], rows)
@@ -226,10 +208,7 @@ def _cmd_cfl(args, out):
 
 
 def _cmd_anisotropy(args, out):
-    try:
-        rows = disp.anisotropy_sweep(args.grid, args.k, args.delta, args.r, args.angles)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rows = disp.anisotropy_sweep(args.grid, args.k, args.delta, args.r, args.angles)
     _write_csv(out / "anisotropy.csv", ["theta", "ratio_s", "ratio_p"],
                ([f"{row['theta']:.12g}", f"{row['ratio_s']:.12e}",
                  f"{row['ratio_p']:.12e}"] for row in rows))
@@ -237,25 +216,13 @@ def _cmd_anisotropy(args, out):
 
 
 def _cmd_solve(args, out):
-    _positive("dt", args.dt)
-    if args.T < 0:
-        raise ConfigError(f"--T must be >= 0 (got {args.T})")
-    try:
-        timestep.step_count(args.T, args.dt)
-    except ValueError as exc:
-        raise ConfigError(f"--T: {exc}") from None
-    try:
-        material = Material(args.rho, args.lam, args.mu)
-    except ValueError as exc:
-        # Material names the field, and each field's flag has its name
-        raise ConfigError(f"--{exc}") from None
-    mesh_path = Path(args.mesh)
-    if not mesh_path.exists():
-        print(f"error: mesh file not found: {mesh_path}", file=sys.stderr)
-        return 1
-    mesh = read_mesh(mesh_path)
-    system = assemble_global(mesh, args.k, material)
     every = args.snapshot_every
+    if every < 0:
+        raise ParameterError("snapshot_every", f"snapshot_every must be >= 0 (got {every})")
+    timestep.step_count(args.T, args.dt)
+    material = Material(args.rho, args.lam, args.mu)
+    mesh = read_mesh(args.mesh)
+    system = assemble_global(mesh, args.k, material)
     log = []
 
     def on_step(state):
@@ -290,32 +257,20 @@ def main(argv=None) -> int:
     if remaining:
         print(f"error: unrecognized arguments: {' '.join(remaining)}", file=sys.stderr)
         return 2
-    if args.config:
-        # config file fills in values the CLI left at their defaults
-        actions = {a.dest: a for a in subparsers[args.command]._actions
-                   if hasattr(args, a.dest)}
-        try:
-            for key, val in _load_config_file(args.config).items():
-                action = actions.get(key)
-                if action is None:
-                    raise ConfigError(f"config key {key!r} names no option of "
-                                      f"'{args.command}'")
-                if getattr(args, key) == action.default:
-                    setattr(args, key, _config_value(action, key, val))
-        except (OSError, ConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    command = subparsers[args.command]
     try:
-        out = Path(args.out) if hasattr(args, "out") else Path(".")
+        if args.config:
+            # the file's values become defaults, so the flags given win when parsed again
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_known_args(argv)[0]
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ParameterError as exc:
+        flag = _flag((command, parser), exc.name)
+        print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)
         return 2
-    except (MeshError, ValueError, RuntimeError) as exc:
+    except (MeshError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,7 +11,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .assembly import GlobalSystem, Material, assemble_global
-from .mesh import PERIODIC_GRIDS, reference_periodic_cell
+from .mesh import ParameterError, check_grid, reference_periodic_cell
+from .projectors import check_degree
 
 
 class UnstableTimestepError(RuntimeError):
@@ -49,20 +50,23 @@ class DispersionConfig:
     p_convention: str = "scaled"
 
     def __post_init__(self):
-        if self.grid not in PERIODIC_GRIDS:
-            raise ValueError(f"grid must be one of {PERIODIC_GRIDS}")
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        check_grid(self.grid)
+        check_degree(self.degree)
         if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+            raise ParameterError("delta", "delta must be > 0")
+        if not np.isfinite(self.delta):
+            raise ParameterError("delta", f"delta must be finite (got {self.delta:g})")
         if not self.speed_ratio > np.sqrt(2.0):
-            raise ValueError("speed ratio r = c_p/c_s must exceed sqrt(2)")
+            raise ParameterError("speed_ratio", "speed ratio r = c_p/c_s must exceed sqrt(2)")
+        if not np.isfinite(self.speed_ratio):
+            raise ParameterError("speed_ratio", f"speed ratio r = c_p/c_s must be finite "
+                                                f"(got {self.speed_ratio:g})")
         if not 0.0 <= self.theta < 2.0 * np.pi:
-            raise ValueError("theta must lie in [0, 2 pi)")
+            raise ParameterError("theta", "theta must lie in [0, 2 pi)")
         if not 0.0 < self.q_rel <= 1.0:
-            raise ValueError("q_rel must lie in (0, 1]")
+            raise ParameterError("q_rel", "q_rel must lie in (0, 1]")
         if self.p_convention not in ("scaled", "shared"):
-            raise ValueError("p_convention must be 'scaled' or 'shared'")
+            raise ParameterError("p_convention", "p_convention must be 'scaled' or 'shared'")
 
     @property
     def material(self) -> Material:
@@ -385,7 +389,7 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
     first half-circle is solved, as theta + pi is in the set.  The parameters
     are validated by ``DispersionConfig``."""
     if n_angles < 1:
-        raise ValueError(f"n_angles must be >= 1 (got {n_angles})")
+        raise ParameterError("n_angles", f"n_angles must be >= 1 (got {n_angles})")
     config = DispersionConfig(grid, degree, delta, 0.0, speed_ratio)
     material = config.material
     system = reference_system(grid, degree, material)
@@ -405,7 +409,7 @@ def anisotropy_sweep(grid: str, degree: int, delta: float, speed_ratio: float,
                      n_angles: int = 32) -> list[dict]:
     """Velocity ratios c_{X,h}/c_X per propagation angle (CSV-ready rows)."""
     if n_angles < 8:
-        raise ValueError(f"n_angles must be >= 8 (got {n_angles})")
+        raise ParameterError("n_angles", f"n_angles must be >= 8 (got {n_angles})")
     rows = []
     for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
         cfg = DispersionConfig(grid, degree, delta, float(theta), speed_ratio)

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import GlobalSystem, Material, assemble_global, assemble_load, interpolate
-from .mesh import FAMILIES, generate_family
+from .mesh import ParameterError, check_family, check_level, generate_family
 from .polybasis import BasisConditioningError
-from .projectors import ProjectorError
+from .projectors import ProjectorError, check_degree
 from . import timestep as ts
 
 
@@ -176,13 +176,24 @@ def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
     return state
 
 
+def _checked(values, name: str, check) -> list:
+    """``values`` as a list, each passed through ``check``; none is an error."""
+    values = list(values)
+    if not values:
+        raise ParameterError(name, f"{name} list must not be empty")
+    for value in values:
+        check(value)
+    return values
+
+
 def run_convergence(family: str, degrees, levels, dt: float, final_time: float,
                     *, seed: int = 0, material: Material | None = None,
                     basis_kind: str = "monomial") -> ConvergenceStudy:
     """Assemble, integrate, and measure errors for each (level, degree) pair."""
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
+    check_family(family)
     ts.step_count(final_time, dt)
+    degrees = _checked(degrees, "degree", check_degree)
+    levels = _checked(levels, "level", check_level)
     problem = standing_wave_benchmark(material)
     study = ConvergenceStudy()
     for level in levels:
@@ -220,6 +231,7 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
     the orthonormalization of the basis (BasisConditioningError) or the elliptic
     projector system (ProjectorError, the monomial basis at high degree)."""
     ts.step_count(final_time, dt)
+    degrees = _checked(degrees, "degree", check_degree)
     mesh = generate_family("random_quad", 0, seed)
     problem = standing_wave_benchmark(material)
     records = []

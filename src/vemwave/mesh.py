@@ -31,6 +31,30 @@ class MeshError(Exception):
         self.edge = edge
 
 
+class ParameterError(ValueError):
+    """An invalid value that the caller passed for the parameter ``name``."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def check_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ParameterError("family", f"unknown family {family!r}; choose from {FAMILIES}")
+
+
+def check_level(level: int) -> None:
+    if level < 0:
+        raise ParameterError("level", "level must be >= 0")
+
+
+def check_grid(grid: str) -> None:
+    if grid not in PERIODIC_GRIDS:
+        raise ParameterError("grid", f"unknown periodic grid {grid!r}; "
+                                     f"choose from {PERIODIC_GRIDS}")
+
+
 class MeshParseError(MeshError):
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -293,7 +317,7 @@ def validate_regularity(mesh: PolygonalMesh, rho_star: float) -> RegularityRepor
     Violations are listed by cell, and within a cell by edge, the edge ratio last.
     """
     if not 0.0 < rho_star < 1.0:
-        raise ValueError("rho_star must be in (0, 1)")
+        raise ParameterError("rho_star", "rho_star must be in (0, 1)")
     groups = mesh.cell_groups()
     loops = [mesh.vertices[g.vertices] for g in groups]
     fault = np.zeros(mesh.n_cells, dtype=int)  # 1: degenerate edge, 2: not simple
@@ -340,15 +364,15 @@ def generate_family(family: str, level: int, seed: int = 0) -> PolygonalMesh:
     hexagonal          mainly hexagonal cells, smoothly distorted
     nonconvex_octagon  indented-square octagons, all nonconvex
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    check_family(family)
+    check_level(level)
+    if seed < 0:
+        raise ParameterError("seed", f"seed must be >= 0 (got {seed})")
     if family == "random_quad":
         return _random_quad_mesh(5 * 2 ** level, seed)
     if family == "hexagonal":
         return _hexagonal_mesh(2 * 2 ** level)
-    if family == "nonconvex_octagon":
-        return _octagon_mesh(5 * 2 ** level)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return _octagon_mesh(5 * 2 ** level)
 
 
 def _random_quad_mesh(n: int, seed: int) -> PolygonalMesh:
@@ -480,8 +504,6 @@ def _hexagonal_mesh(m: int) -> PolygonalMesh:
 
 def _octagon_mesh(n: int) -> PolygonalMesh:
     """Indented-square octagons: every cell carries at least one reflex vertex."""
-    if n < 2:
-        raise ValueError("octagon family needs n >= 2")
     h = 1.0 / n
     d = 0.1 * h
     i, k = np.arange(n)[:, None], np.arange(n + 1)
@@ -521,14 +543,13 @@ def is_convex(loop: np.ndarray) -> bool:
 def reference_periodic_cell(grid: str, h: float = 1.0) -> PolygonalMesh:
     """Square periodic cell of side h tiled by the requested pattern, with
     master/slave pairing attached (mesh.periodic) and periodic edge tags."""
+    check_grid(grid)
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise ParameterError("h", "h must be positive")
     builder = {
         "quad": _cell_quad, "tria": _cell_tria, "c1": _cell_c1,
         "c2": _cell_c2, "c3": _cell_c3, "c4": _cell_c4,
-    }.get(grid)
-    if builder is None:
-        raise ValueError(f"unknown periodic grid {grid!r}; choose from {PERIODIC_GRIDS}")
+    }[grid]
     loops = [np.asarray(loop, dtype=float) * h for loop in builder()]
     mesh = PolygonalMesh(*_snap_loops(loops, 1e-9 * h))
     _attach_periodic_pairing(mesh, h)

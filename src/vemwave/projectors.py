@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import DIRICHLET, CellGroup, PolygonalMesh, polygon_geometry
+from .mesh import DIRICHLET, CellGroup, ParameterError, PolygonalMesh, polygon_geometry
 from .polybasis import (
     QuadratureRule,
     basis_dimension,
@@ -56,6 +56,11 @@ class ScalarDofLayout:
         return np.arange(start, start + self.n_interior)
 
 
+def check_degree(degree: int) -> None:
+    if degree < 1:
+        raise ParameterError("degree", "degree must be >= 1")
+
+
 def scalar_layout(degree: int, n_vertices: int) -> ScalarDofLayout:
     return ScalarDofLayout(degree, n_vertices, degree - 1, basis_dimension(degree - 2))
 
@@ -66,8 +71,7 @@ class DofMap:
     Vector DOFs are two stacked scalar blocks (x component first)."""
 
     def __init__(self, mesh: PolygonalMesh, degree: int):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
+        check_degree(degree)
         self.mesh = mesh
         self.degree = degree
         self.per_edge = degree - 1
@@ -177,7 +181,8 @@ class ElementGroup:
     def __init__(self, mesh: PolygonalMesh, cells: CellGroup, degree: int, *,
                  basis_kind: str = "monomial"):
         if basis_kind not in ("monomial", "orthonormal"):
-            raise ValueError("basis_kind must be 'monomial' or 'orthonormal'")
+            raise ParameterError("basis_kind",
+                                 "basis_kind must be 'monomial' or 'orthonormal'")
         self.mesh = mesh
         self.cells = cells
         self.degree = degree

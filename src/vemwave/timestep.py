@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
+from .mesh import ParameterError
 
 _CKPT_MAGIC = b"VEMCKPT1"
 _CKPT_HEADER = struct.Struct("<qdq")  # step index, dt, DOF count
@@ -96,7 +97,7 @@ def cfl_timestep(system: GlobalSystem, safety: float = 0.9,
     ``tol`` and ``max_iter`` are ARPACK's relative accuracy and restart limit; a
     run that does not converge raises ArpackNoConvergence, a RuntimeError."""
     if not 0 < safety <= 1:
-        raise ValueError("safety must be in (0, 1]")
+        raise ParameterError("safety", "safety must be in (0, 1]")
     solver = solver or make_solver(system)
     n = system.n_free
     operator = lambda matvec: spla.LinearOperator((n, n), matvec=matvec, dtype=float)
@@ -123,17 +124,18 @@ def check_cfl(system: GlobalSystem, dt: float, solver) -> CflEstimate:
 
 
 def step_count(final_time: float, dt: float) -> int:
-    """Number of steps of size dt that reach final_time; ValueError unless dt
-    is finite and > 0, final_time finite and >= 0, and final_time an integer
+    """Number of steps of size dt that reach final_time; ParameterError unless
+    dt is finite and > 0, final_time finite and >= 0, and final_time an integer
     multiple of dt (to 1e-10 relative)."""
     if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0 (got {dt:g})")
+        raise ParameterError("dt", f"dt must be finite and > 0 (got {dt:g})")
     if not (np.isfinite(final_time) and final_time >= 0):
-        raise ValueError(f"final time must be finite and >= 0 (got {final_time:g})")
+        raise ParameterError("final_time",
+                             f"final time must be finite and >= 0 (got {final_time:g})")
     n_steps = int(round(final_time / dt))
     if abs(n_steps * dt - final_time) > 1e-10 * final_time:
-        raise ValueError(f"final time {final_time:g} is not an integer multiple "
-                         f"of dt = {dt:g}")
+        raise ParameterError("final_time", f"final time {final_time:g} is not an integer "
+                                           f"multiple of dt = {dt:g}")
     return n_steps
 
 

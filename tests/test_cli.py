@@ -1,13 +1,93 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
-from vemwave import harness
+import vemwave
+from vemwave import cli, dispersion, harness, mesh as mesh_module
 from vemwave.assembly import Material, assemble_global
 from vemwave.cli import main
 from vemwave.dispersion import anisotropy_sweep
 from vemwave.mesh import generate_family, write_mesh
 from vemwave.timestep import discrete_energy, save_checkpoint
+
+
+# each invalid parameter of a command, with the flag its error names
+_REFUSED = [
+    (["convergence", "--dt", "nan"], "--dt"),
+    (["convergence", "--dt", "inf"], "--dt"),
+    (["convergence", "--dt", "1e-3", "--T", "0.0105"], "--T"),
+    (["convergence", "--k", "0"], "--k"),
+    (["convergence", "--k", "1,0"], "--k"),
+    (["convergence", "--levels", "0"], "--levels"),
+    (["convergence", "--family", "icosahedra"], "--family"),
+    (["convergence", "--seed", "-1"], "--seed"),
+    (["convergence", "--seed", "-1", "--family", "hexa"], "--seed"),
+    (["prefine", "--dt", "inf"], "--dt"),
+    (["prefine", "--T", "-1"], "--T"),
+    (["dispersion", "--r", "inf"], "--r"),
+    (["dispersion", "--delta", "inf"], "--delta"),
+    (["dispersion", "--delta", "-1"], "--delta"),
+    (["dispersion", "--grid", "hexa"], "--grid"),
+    (["cfl", "--r", "inf"], "--r"),
+    (["cfl", "--grids", "quad,hexa"], "--grids"),
+    (["anisotropy", "--angles", "4"], "--angles"),
+    (["solve", "--dt", "0"], "--dt"),
+    (["solve", "--T", "0.01025"], "--T"),
+    (["solve", "--rho", "nan"], "--rho"),
+    (["solve", "--snapshot-every", "-1"], "--snapshot-every"),
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Any mesh generated or read, or pencil reduced, fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the parameters were checked")
+
+    monkeypatch.setattr(mesh_module, "PolygonalMesh", refuse)
+    monkeypatch.setattr(dispersion, "bloch_reduce", refuse)
+    monkeypatch.setattr(cli, "read_mesh", refuse)
+
+
+@pytest.mark.parametrize("argv, flag", _REFUSED, ids=[" ".join(a) for a, _ in _REFUSED])
+def test_invalid_parameter_exit_2_before_any_work(tmp_path, capsys, no_work, argv, flag):
+    path = tmp_path / "mesh.txt"
+    path.write_text("not a mesh\n")
+    out = tmp_path / "out"
+    mesh_args = ["--mesh", str(path)] if argv[0] == "solve" else []
+    code = main(argv + mesh_args + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert captured.out == ""
+    assert not list(out.glob("*"))
+
+
+class TestModuleEntryPoint:
+    """`python -m vemwave` exits with the code that main() returns."""
+
+    def run(self, cwd, *argv):
+        src = str(Path(vemwave.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "vemwave", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+
+    def test_invalid_parameter_exit_2(self, tmp_path):
+        proc = self.run(tmp_path, "convergence", "--dt", "nan")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --dt: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_help_exit_0(self, tmp_path):
+        proc = self.run(tmp_path, "--help")
+        assert proc.returncode == 0
+        assert "convergence" in proc.stdout
 
 
 class TestDispersionCommand:
@@ -104,6 +184,18 @@ class TestCflCommand:
                      f"{flag}={value}", "--out", str(tmp_path)])
         assert code == 2
         assert word in capsys.readouterr().err
+        assert not (tmp_path / "cfl.csv").exists()
+
+
+    def test_eigensolver_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise la.LinAlgError("hegvx failed")
+
+        monkeypatch.setattr(dispersion, "cfl_parameter", fail)
+        code = main(["cfl", "--grids", "quad", "--kmin", "1", "--kmax", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: hegvx failed\n"
         assert not (tmp_path / "cfl.csv").exists()
 
 
@@ -256,6 +348,16 @@ class TestConfigFile:
         assert code == 0
         row = (tmp_path / "dispersion.csv").read_text().splitlines()[1]
         assert row.startswith("quad,1,0.4,")
+
+    def test_flag_equal_to_its_default_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.1\n")
+        code = main(["--config", str(cfg), "dispersion", "--grid", "quad",
+                     "--k", "1", "--delta", "0.2", "--r", "2",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        row = (tmp_path / "dispersion.csv").read_text().splitlines()[1]
+        assert row.startswith("quad,1,0.2,")
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

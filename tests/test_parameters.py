@@ -1,0 +1,105 @@
+"""Every library check of a value that the caller passes in raises
+ParameterError: a ValueError whose ``name`` is the parameter's name."""
+import numpy as np
+import pytest
+
+import vemwave
+from vemwave.assembly import Material, assemble_global
+from vemwave.dispersion import DispersionConfig, anisotropy_sweep, cfl_parameter
+from vemwave.harness import run_convergence, run_p_refinement
+from vemwave.mesh import (
+    ParameterError,
+    generate_family,
+    reference_periodic_cell,
+    validate_regularity,
+)
+from vemwave.projectors import DofMap, ElementGroup
+from vemwave.timestep import cfl_timestep, step_count
+
+
+def _mesh():
+    return generate_family("random_quad", 0)
+
+
+def _config(**kwargs):
+    return DispersionConfig(**{**dict(grid="quad", degree=1, delta=0.2, theta=0.0,
+                                      speed_ratio=2.0), **kwargs})
+
+
+CASES = [
+    pytest.param("rho", lambda: Material(0.0, 1.0, 1.0), id="Material-rho"),
+    pytest.param("lam", lambda: Material(1.0, -1.0, 1.0), id="Material-lam"),
+    pytest.param("mu", lambda: Material(1.0, 1.0, np.nan), id="Material-mu"),
+    pytest.param("speed_ratio", lambda: Material.from_wave_speeds(1.0, 1.0, 1.2),
+                 id="from_wave_speeds"),
+    pytest.param("degree", lambda: DofMap(_mesh(), 0), id="DofMap"),
+    pytest.param("basis_kind", lambda: ElementGroup(_mesh(), _mesh().cell_group([0]), 1,
+                                                    basis_kind="legendre"),
+                 id="ElementGroup"),
+    pytest.param("family", lambda: generate_family("icosahedra", 0), id="family"),
+    pytest.param("level", lambda: generate_family("hexagonal", -1), id="level"),
+    pytest.param("seed", lambda: generate_family("hexagonal", 0, seed=-1), id="seed"),
+    pytest.param("grid", lambda: reference_periodic_cell("hexa"), id="periodic-grid"),
+    pytest.param("h", lambda: reference_periodic_cell("quad", 0.0), id="periodic-h"),
+    pytest.param("rho_star", lambda: validate_regularity(_mesh(), 1.5), id="rho_star"),
+    pytest.param("dt", lambda: step_count(0.1, np.inf), id="step_count-dt"),
+    pytest.param("final_time", lambda: step_count(-1.0, 1e-3), id="step_count-T"),
+    pytest.param("final_time", lambda: step_count(0.0105, 1e-3), id="step_count-multiple"),
+    pytest.param("safety", lambda: cfl_timestep(
+        assemble_global(_mesh(), 1, Material(1.0, 1.0, 1.0)), safety=2.0), id="safety"),
+    pytest.param("grid", lambda: _config(grid="hexa"), id="config-grid"),
+    pytest.param("degree", lambda: _config(degree=0), id="config-degree"),
+    pytest.param("delta", lambda: _config(delta=-1.0), id="config-delta"),
+    pytest.param("delta", lambda: _config(delta=np.inf), id="config-delta-inf"),
+    pytest.param("speed_ratio", lambda: _config(speed_ratio=1.0), id="config-r"),
+    pytest.param("speed_ratio", lambda: _config(speed_ratio=np.inf), id="config-r-inf"),
+    pytest.param("theta", lambda: _config(theta=7.0), id="config-theta"),
+    pytest.param("q_rel", lambda: _config(q_rel=0.0), id="config-q_rel"),
+    pytest.param("p_convention", lambda: _config(p_convention="own"),
+                 id="config-p_convention"),
+    pytest.param("n_angles", lambda: cfl_parameter("quad", 1, 0.2, 2.0, n_angles=0),
+                 id="cfl_parameter"),
+    pytest.param("n_angles", lambda: anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=4),
+                 id="anisotropy_sweep"),
+    pytest.param("family", lambda: run_convergence("hexa", [1], [0], 1e-3, 0.01),
+                 id="run_convergence-family"),
+    pytest.param("degree", lambda: run_convergence("hexagonal", [], [0], 1e-3, 0.01),
+                 id="run_convergence-no-degree"),
+    pytest.param("degree", lambda: run_convergence("hexagonal", [1, 0], [0], 1e-3, 0.01),
+                 id="run_convergence-degree"),
+    pytest.param("level", lambda: run_convergence("hexagonal", [1], [], 1e-3, 0.01),
+                 id="run_convergence-no-level"),
+    pytest.param("level", lambda: run_convergence("hexagonal", [1], [0, -1], 1e-3, 0.01),
+                 id="run_convergence-level"),
+    pytest.param("degree", lambda: run_p_refinement([], 1e-3, 0.01),
+                 id="run_p_refinement-no-degree"),
+    pytest.param("degree", lambda: run_p_refinement([0], 1e-3, 0.01),
+                 id="run_p_refinement-degree"),
+]
+
+
+@pytest.mark.parametrize("name, call", CASES)
+def test_check_raises_named_parameter_error(name, call):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert info.value.name == name
+
+
+def test_sweeps_check_every_entry_before_any_mesh(monkeypatch):
+    from vemwave import harness
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the sweep was checked")
+
+    monkeypatch.setattr(harness, "generate_family", no_mesh)
+    with pytest.raises(ParameterError, match="degree must be >= 1"):
+        run_convergence("random_quad", [1, 2, 0], range(2), 1e-3, 0.01)
+    with pytest.raises(ParameterError, match="level must be >= 0"):
+        run_convergence("random_quad", [1], [0, -1], 1e-3, 0.01)
+    with pytest.raises(ParameterError, match="degree must be >= 1"):
+        run_p_refinement([1, 0], 1e-3, 0.01)
+
+
+def test_exported_from_the_package():
+    assert vemwave.ParameterError is ParameterError
