@@ -110,9 +110,10 @@ class GlobalSystem:
 
     Free vector DOFs are ordered [x-free | y-free], and both components keep the
     same scalar DOFs, so the vector mass is ``blockdiag(scalar_mass,
-    scalar_mass)``.  The solve path applies ``scalar_mass`` per component; the
-    block matrix ``mass`` stores only those two blocks and is built on its first
-    read."""
+    scalar_mass)``.  The solve path applies ``scalar_mass`` per component and the
+    Bloch reduction of ``dispersion`` scatters it once per plan; the block
+    matrix ``mass`` stores only those two blocks and is built only on an
+    explicit read, by neither path."""
 
     def __init__(self, mesh: PolygonalMesh, degree: int, material: Material,
                  dofmap: DofMap, groups: list[ElementGroup],

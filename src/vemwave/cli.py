@@ -12,6 +12,7 @@ from . import dispersion as disp
 from . import harness, timestep
 from .assembly import Material, assemble_global
 from .mesh import FAMILIES, PERIODIC_GRIDS, MeshError, ParameterError, read_mesh
+from .projectors import check_degree
 
 # the dests of the flags named otherwise than the library parameter they set
 _FLAG_DESTS = {"final_time": "T", "degree": "k", "speed_ratio": "r", "n_angles": "angles"}
@@ -193,6 +194,7 @@ def _cmd_dispersion(args, out):
 
 def _cmd_cfl(args, out):
     grids = [g for g in args.grids.split(",") if g]
+    check_degree(args.kmin, "kmin")
     if args.kmin > args.kmax:
         raise ParameterError("kmin", f"kmin must be <= kmax ({args.kmin} > {args.kmax})")
     for g in grids:  # every grid's parameters, validated before the first pencil
@@ -221,6 +223,7 @@ def _cmd_solve(args, out):
         raise ParameterError("snapshot_every", f"snapshot_every must be >= 0 (got {every})")
     timestep.step_count(args.T, args.dt)
     material = Material(args.rho, args.lam, args.mu)
+    check_degree(args.k)
     mesh = read_mesh(args.mesh)
     system = assemble_global(mesh, args.k, material)
     log = []

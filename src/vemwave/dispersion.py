@@ -13,6 +13,7 @@ import scipy.linalg as la
 from .assembly import GlobalSystem, Material, assemble_global
 from .mesh import ParameterError, check_grid, reference_periodic_cell
 from .projectors import check_degree
+from .timestep import check_dt
 
 
 class UnstableTimestepError(RuntimeError):
@@ -164,11 +165,14 @@ class _BlochPlan:
     """The wavevector-independent half of the Bloch reduction of one system.
 
     Every scalar DOF is a master or the phased copy of one, at a translation
-    ``offset``; ``col`` gives the reduced column of each vector DOF.  The distinct
-    offsets are few (at most 4 on a periodic cell), so the offset difference of a
-    matrix entry is one of a small table of classes; for M and K the plan keeps
-    the COO entries with their flat column-major reduced index
-    ``col[c] * n + col[r]`` and their class."""
+    ``offset``; ``col`` gives the reduced column of each vector DOF, the y
+    components' m = n/2 columns after the x components'.  The distinct offsets
+    are few (at most 4 on a periodic cell), so the offset difference of a
+    matrix entry is one of a small table of classes.  The plan keeps the COO
+    entries of the scalar mass and of K with their flat column-major reduced
+    index ``col[c] * n + col[r]`` (int32 when n^2 fits) and their class.  The
+    vector mass is blockdiag(Ms, Ms), so its reduction is the scalar mass's in
+    both diagonal m x m blocks: the block matrix ``system.mass`` is not read."""
 
     def __init__(self, system: GlobalSystem):
         mesh, dofmap = system.mesh, system.dofmap
@@ -189,41 +193,50 @@ class _BlochPlan:
             raise ValueError(f"slave dof {s} chained to another slave {master[s]}")
         masters = np.flatnonzero(~is_slave)
         n_m = len(masters)
-        col = np.empty(n_s, dtype=np.intp)
+        self.n = n = 2 * n_m
+        index = np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
+        col = np.empty(n_s, dtype=index)
         col[masters] = np.arange(n_m)
         col = col[master]
-        self.n = 2 * n_m
         self.col = np.concatenate([col, col + n_m])
         self.offset = np.concatenate([offset, offset])
         offsets, cls = np.unique(offset, axis=0, return_inverse=True)
-        cls = np.tile(cls.ravel(), 2).astype(np.uint8)
+        cls = cls.ravel().astype(np.uint8)
         n_off = len(offsets)
         # class a * n_off + b holds the entries from offset a (row) to b (column)
         self.diff = (offsets[None, :, :] - offsets[:, None, :]).reshape(-1, 2)
         self.entries = []
-        for a in (system.mass, system.stiffness):
+        for a, a_col, a_cls in ((system.scalar_mass, col, cls),
+                                (system.stiffness, self.col, np.tile(cls, 2))):
             a = a.tocoo()
-            self.entries.append((a.data, self.col[a.col] * self.n + self.col[a.row],
-                                 cls[a.row] * n_off + cls[a.col]))
+            self.entries.append((a.data, a_col[a.col] * n + a_col[a.row],
+                                 a_cls[a.row] * n_off + a_cls[a.col]))
 
     def reduce(self, kvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P^H M P, P^H K P) at the wavevector ``kvec``, in column-major order:
         one phase per offset class, exactly 1 for a zero difference, then per
         matrix the real and imaginary weights are summed in entry order, as
         ``np.bincount`` would but with no n^2 temporary, straight into the parts
-        of one zeroed complex array, which is made Hermitian in place.  A real
-        weight can differ from the real part of the complex product only in the
-        sign of a zero, which no sum started at +0.0 can show."""
+        of one zeroed complex array, which is made Hermitian in place.  The
+        scalar mass is scattered once, into the upper-left m x m block, which is
+        averaged in place and copied to the lower-right block; the other two
+        blocks stay zero.  A real weight can differ from the real part of the
+        complex product only in the sign of a zero, which no sum started at
+        +0.0 can show."""
         phase = np.exp(1j * (kvec[0] * self.diff[:, 0] + kvec[1] * self.diff[:, 1]))
         out = []
         for data, idx, cls in self.entries:
             flat = np.zeros(self.n * self.n, dtype=complex)
             np.add.at(flat.real, idx, data * phase.real[cls])
             np.add.at(flat.imag, idx, data * phase.imag[cls])
-            red = flat.reshape(self.n, self.n, order="F")
-            _hermitian_average(red)
-            out.append(red)
-        return out[0], out[1]
+            out.append(flat.reshape(self.n, self.n, order="F"))
+        mass, stiffness = out
+        m = self.n // 2
+        xx = mass[:m, :m]
+        _hermitian_average(xx)
+        mass[m:, m:] = xx
+        _hermitian_average(stiffness)
+        return mass, stiffness
 
     def projector(self, kvec: np.ndarray) -> np.ndarray:
         p = np.zeros((len(self.col), self.n), dtype=complex)
@@ -246,12 +259,21 @@ def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction
     the COO entries, their reduced indices and offset classes are built once
     per system (on the first call) and cached while the system lives; each call
     then evaluates one phase per offset class, exactly 1 when both DOFs carry
-    the same offset, and scatters M and K.  P itself is built only when the
-    ``projector`` property is read."""
+    the same offset, and scatters the scalar mass once and K.  M is reduced
+    from ``system.scalar_mass``; the block matrix ``system.mass`` is built
+    only on an explicit read, by neither this path nor the solve path.  P
+    itself is built only when the ``projector`` property is read.
+    ``wavevector`` must be two finite numbers (ParameterError otherwise)."""
+    try:
+        kvec = np.array(wavevector, dtype=float)
+    except (TypeError, ValueError):
+        kvec = None
+    if kvec is None or kvec.shape != (2,) or not np.isfinite(kvec).all():
+        raise ParameterError("wavevector",
+                             f"wavevector must be two finite numbers (got {wavevector!r})")
     plan = _PLANS.get(system)
     if plan is None:
         plan = _PLANS[system] = _BlochPlan(system)
-    kvec = np.array(wavevector, dtype=float)
     mass, stiffness = plan.reduce(kvec)
     return BlochReduction(mass, stiffness, kvec, plan)
 
@@ -362,11 +384,13 @@ def fullydiscrete_dispersion(config: DispersionConfig,
 
     The eigenvalues of the same reduced pencils are mapped through
     Lambda = (4/dt^2) sin^2(omega dt / 2); dt defaults to
-    q_rel * q_CFL * h / c_P with q_CFL computed for this grid."""
+    q_rel * q_CFL * h / c_P with q_CFL computed for this grid; dt must pass
+    ``check_dt``."""
     if dt is None:
         q_cfl = cfl_parameter(config.grid, config.degree, config.delta,
                               config.speed_ratio)
         dt = config.q_rel * q_cfl / config.material.c_p
+    check_dt(dt)
 
     def to_omega(lam: float) -> float:
         arg = 0.5 * dt * np.sqrt(max(lam, 0.0))

@@ -56,9 +56,11 @@ class ScalarDofLayout:
         return np.arange(start, start + self.n_interior)
 
 
-def check_degree(degree: int) -> None:
+def check_degree(degree: int, name: str = "degree") -> None:
+    """ParameterError ``name`` unless degree >= 1; a caller whose parameter
+    sets a degree under another name passes that name."""
     if degree < 1:
-        raise ParameterError("degree", "degree must be >= 1")
+        raise ParameterError(name, f"{name} must be >= 1")
 
 
 def scalar_layout(degree: int, n_vertices: int) -> ScalarDofLayout:

@@ -123,12 +123,17 @@ def check_cfl(system: GlobalSystem, dt: float, solver) -> CflEstimate:
     return est
 
 
-def step_count(final_time: float, dt: float) -> int:
-    """Number of steps of size dt that reach final_time; ParameterError unless
-    dt is finite and > 0, final_time finite and >= 0, and final_time an integer
-    multiple of dt (to 1e-10 relative)."""
+def check_dt(dt: float) -> None:
+    """The one rule of a time step: ParameterError unless dt is finite and > 0."""
     if not (np.isfinite(dt) and dt > 0):
         raise ParameterError("dt", f"dt must be finite and > 0 (got {dt:g})")
+
+
+def step_count(final_time: float, dt: float) -> int:
+    """Number of steps of size dt that reach final_time; ParameterError unless
+    dt passes ``check_dt``, final_time is finite and >= 0, and final_time is an
+    integer multiple of dt (to 1e-10 relative)."""
+    check_dt(dt)
     if not (np.isfinite(final_time) and final_time >= 0):
         raise ParameterError("final_time",
                              f"final time must be finite and >= 0 (got {final_time:g})")

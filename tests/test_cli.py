@@ -35,10 +35,12 @@ _REFUSED = [
     (["dispersion", "--grid", "hexa"], "--grid"),
     (["cfl", "--r", "inf"], "--r"),
     (["cfl", "--grids", "quad,hexa"], "--grids"),
+    (["cfl", "--kmin", "0"], "--kmin"),
     (["anisotropy", "--angles", "4"], "--angles"),
     (["solve", "--dt", "0"], "--dt"),
     (["solve", "--T", "0.01025"], "--T"),
     (["solve", "--rho", "nan"], "--rho"),
+    (["solve", "--k", "0"], "--k"),
     (["solve", "--snapshot-every", "-1"], "--snapshot-every"),
 ]
 

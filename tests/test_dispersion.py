@@ -22,6 +22,7 @@ from vemwave.dispersion import (
 )
 from vemwave.mesh import (
     PERIODIC_GRIDS,
+    ParameterError,
     PolygonalMesh,
     _attach_periodic_pairing,
     _snap_loops,
@@ -142,33 +143,57 @@ class TestScatterReductionOracle:
         assert reference_system("quad", 1, a) is reference_system("quad", 1, b)
 
 
-def reference_reduce(plan, kvec):
-    """The scatter as first written: a complex sum of the two bincounts at the
-    row-major index, then a Hermitian average into a new array."""
-    phase = np.exp(1j * (kvec[0] * plan.diff[:, 0] + kvec[1] * plan.diff[:, 1]))
-    nn = plan.n * plan.n
+def reference_reduce(system, plan, kvec):
+    """The scatter as first written, from the vector matrices and no plan
+    entries: each entry A[r, c] exp(i kappa . (offset[c] - offset[r])) of the
+    block mass ``system.mass`` and of K, a complex sum of the two bincounts at
+    the row-major index (col[r], col[c]), then a Hermitian average into a new
+    array."""
+    n = plan.n
     out = []
-    for data, col_major, cls in plan.entries:
-        idx = (col_major % plan.n) * plan.n + col_major // plan.n
-        w = data * phase[cls]
-        red = (np.bincount(idx, w.real, nn)
-               + 1j * np.bincount(idx, w.imag, nn)).reshape(plan.n, plan.n)
+    for a in (system.mass, system.stiffness):
+        a = a.tocoo()
+        diff = plan.offset[a.col] - plan.offset[a.row]
+        w = a.data * np.exp(1j * (kvec[0] * diff[:, 0] + kvec[1] * diff[:, 1]))
+        idx = plan.col[a.row].astype(np.intp) * n + plan.col[a.col]
+        red = (np.bincount(idx, w.real, n * n)
+               + 1j * np.bincount(idx, w.imag, n * n)).reshape(n, n)
         out.append(0.5 * (red + red.conj().T))
     return out[0], out[1]
+
+
+def fresh_system(grid, degree):
+    """An uncached periodic-cell system: no other test has read its block mass
+    or built its Bloch plan."""
+    mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
+    return assemble_global(reference_periodic_cell(grid, 1.0), degree, mat,
+                           eliminate_dirichlet=False)
 
 
 class TestInPlaceScatter:
     @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_byte_identical_to_reference(self, grid, degree):
-        mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
-        system = reference_system(grid, degree, mat)
-        for kvec in ([0.0, 0.0], [0.9, 1.7], [-2.1, 0.4]):
-            kvec = np.array(kvec)
-            red = bloch_reduce(system, kvec)
-            mass, stiffness = reference_reduce(red._plan, kvec)
+        system = fresh_system(grid, degree)
+        kvecs = [np.array(k) for k in ([0.0, 0.0], [0.9, 1.7], [-2.1, 0.4])]
+        reds = [bloch_reduce(system, kvec) for kvec in kvecs]
+        # the plan reads the scalar mass, not the block mass, with int32 indices
+        assert "mass" not in vars(system)
+        assert all(idx.dtype == np.int32 for _, idx, _ in reds[0]._plan.entries)
+        for kvec, red in zip(kvecs, reds):
+            mass, stiffness = reference_reduce(system, red._plan, kvec)
             assert red.mass.tobytes() == mass.tobytes()
             assert red.stiffness.tobytes() == stiffness.tobytes()
+
+
+class TestBadWavevector:
+    @pytest.mark.parametrize("kvec", [[0.3, 0.4, 9.0], [0.3], [np.nan, 0.4],
+                                      [0.3, np.inf], [[0.3, 0.4]], "ab"])
+    def test_refused(self, kvec):
+        system = reference_system("quad", 1, Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0))
+        with pytest.raises(ParameterError, match="two finite numbers") as info:
+            bloch_reduce(system, kvec)
+        assert info.value.name == "wavevector"
 
 
 def traced_peak(fn):
@@ -216,6 +241,27 @@ class TestPencilMemory:
             assert m.flags.f_contiguous
             # by value: a real diagonal entry's imaginary +0.0 conjugates to -0.0
             assert np.array_equal(m, m.conj().T)
+
+
+class TestPlanMemory:
+    """What a reduction leaves behind, the Bloch plan, in bytes per scalar-mass
+    nonzero: its int32 indices and class bytes for the scalar mass and K take
+    about 26; the plan over the block mass, with 8-byte indices, kept about 80."""
+
+    @pytest.mark.parametrize("grid, degree", [("c3", 4), ("c3", 5), ("c1", 5)])
+    def test_plan_retains_little_per_mass_nonzero(self, grid, degree):
+        bloch_reduce(fresh_system("quad", 1), [0.3, 0.4])  # one-time set-up
+        system = fresh_system(grid, degree)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            red = bloch_reduce(system, [0.9, -1.7])
+            del red
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 32 * system.scalar_mass.nnz
 
 
 def periodic_tiling(grid, n):

@@ -5,7 +5,12 @@ import pytest
 
 import vemwave
 from vemwave.assembly import Material, assemble_global
-from vemwave.dispersion import DispersionConfig, anisotropy_sweep, cfl_parameter
+from vemwave.dispersion import (
+    DispersionConfig,
+    anisotropy_sweep,
+    cfl_parameter,
+    fullydiscrete_dispersion,
+)
 from vemwave.harness import run_convergence, run_p_refinement
 from vemwave.mesh import (
     ParameterError,
@@ -57,6 +62,9 @@ CASES = [
     pytest.param("q_rel", lambda: _config(q_rel=0.0), id="config-q_rel"),
     pytest.param("p_convention", lambda: _config(p_convention="own"),
                  id="config-p_convention"),
+    *(pytest.param("dt", lambda dt=dt: fullydiscrete_dispersion(_config(), dt=dt),
+                   id=f"fullydiscrete_dispersion-dt-{dt:g}")
+      for dt in (0.0, -1e-3, np.nan, np.inf)),
     pytest.param("n_angles", lambda: cfl_parameter("quad", 1, 0.2, 2.0, n_angles=0),
                  id="cfl_parameter"),
     pytest.param("n_angles", lambda: anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=4),
