@@ -53,16 +53,29 @@ class Material:
         return cls(rho, lam, mu)
 
 
+def stabilization(ops: ElementOperators | ElementGroup, material: Material,
+                  term: str) -> np.ndarray:
+    """The one site of the dofi-dofj stabilization, coefficient * s^T s with
+    s = I - D Pi: Pi0 and rho h_P^2 for the scalar mass (``term`` "mass"), PiNabla
+    and max(2 mu, lambda) for each stiffness component ("stiffness").  One cell's
+    matrix for a view, (G, n, n) for a group."""
+    if term == "mass":
+        projector = ops.pi_zero
+        coefficient = material.rho * np.asarray(ops.geometry.diameter)[..., None, None] ** 2
+    else:
+        projector = ops.pi_nabla
+        coefficient = max(2.0 * material.mu, material.lam)
+    s = np.eye(ops.layout.n_total) - ops.dof_matrix @ projector
+    return coefficient * (mT(s) @ s)
+
+
 def local_scalar_mass(ops: ElementOperators | ElementGroup,
                       material: Material) -> np.ndarray:
-    """Local scalar mass matrix: consistency Pi0^T Q Pi0 plus the dofi-dofj
-    stabilization rho * h_P^2 (I - Pi0)^T (I - Pi0).  Both displacement
-    components share it.  One cell's matrix for a view, (G, n, n) for a group."""
-    rho = material.rho
-    consistency = rho * (mT(ops.pi_zero) @ ops.grams.mass @ ops.pi_zero)
-    s = np.eye(ops.layout.n_total) - ops.dof_projector_l2()
-    h2 = np.asarray(ops.geometry.diameter)[..., None, None] ** 2
-    scalar = consistency + rho * h2 * (mT(s) @ s)
+    """Local scalar mass matrix: consistency Pi0^T Q Pi0 plus the mass
+    ``stabilization``.  Both displacement components share it.  One cell's
+    matrix for a view, (G, n, n) for a group."""
+    consistency = material.rho * (mT(ops.pi_zero) @ ops.grams.mass @ ops.pi_zero)
+    scalar = consistency + stabilization(ops, material, "mass")
     return 0.5 * (scalar + mT(scalar))
 
 
@@ -78,8 +91,8 @@ def local_mass(ops: ElementOperators | ElementGroup, material: Material) -> np.n
 
 def local_stiffness(ops: ElementOperators | ElementGroup, material: Material) -> np.ndarray:
     """Local vector stiffness: the four consistency blocks built from the projected
-    derivatives Pi0x/Pi0y paired through the degree k-1 Gram matrix, plus
-    max(2 mu, lambda) (I - PiNabla)^T (I - PiNabla) per component.
+    derivatives Pi0x/Pi0y paired through the degree k-1 Gram matrix, plus the
+    stiffness ``stabilization`` on each component.
     One cell's matrix for a view, (G, 2n, 2n) for a group."""
     mu, lam = material.mu, material.lam
     h = ops.grams.mass[..., :ops.n_km1, :ops.n_km1]
@@ -90,9 +103,7 @@ def local_stiffness(ops: ElementOperators | ElementGroup, material: Material) ->
     k_upup = (2.0 * mu + lam) * xx + mu * yy
     k_dndn = mu * xx + (2.0 * mu + lam) * yy
     k_updn = mu * mT(xy) + lam * xy
-
-    s = np.eye(ops.layout.n_total) - ops.dof_projector_elliptic()
-    k_stab = max(2.0 * mu, lam) * (mT(s) @ s)
+    k_stab = stabilization(ops, material, "stiffness")
 
     n = ops.layout.n_total
     out = np.empty(k_stab.shape[:-2] + (2 * n, 2 * n))

@@ -161,9 +161,10 @@ def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
                     final_time: float, on_step=None) -> ts.SimulationState:
     """Integrate the benchmark to final_time and return the final state (free DOFs).
 
-    Refuses to run when dt exceeds the CFL limit, reporting the admissible step.
-    The separable load is assembled once and rescaled each step; ``on_step`` is
-    passed to ``timestep.simulate``."""
+    Refuses to run when dt exceeds the CFL limit, reporting the admissible step,
+    and a diverging run raises InstabilityError with the CFL estimate as
+    ``suggested_dt``.  The separable load is assembled once and rescaled each
+    step; ``on_step`` is passed to ``timestep.simulate``."""
     n_steps = ts.step_count(final_time, dt)
     solver = ts.make_solver(system)
     est = ts.check_cfl(system, dt, solver)
@@ -171,8 +172,11 @@ def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
     v0 = system.restrict(interpolate(system, lambda p: problem.velocity(p, 0.0)))
     f_spatial = assemble_load(system, lambda p, t: problem.spatial_load(p), t=0.0)
     load = lambda n: problem.time_factor(n * dt) * f_spatial
-    state, _ = ts.simulate(system, u0, v0, dt, n_steps, load, solver=solver,
-                           on_step=on_step, suggested_dt=est.dt)
+    try:
+        state, _ = ts.simulate(system, u0, v0, dt, n_steps, load, solver=solver,
+                               on_step=on_step)
+    except ts.InstabilityError as err:
+        raise ts.InstabilityError(err.step_index, est.dt) from err
     return state
 
 

@@ -366,14 +366,6 @@ class ElementGroup:
             values(self.rule.points[at])[0] if self.layout.n_interior else None, at)
         return out[..., 0] if scalar else out
 
-    # DOF-space projector matrices used by the stabilization terms
-
-    def dof_projector_elliptic(self) -> np.ndarray:
-        return self.dof_matrix @ self.pi_nabla
-
-    def dof_projector_l2(self) -> np.ndarray:
-        return self.dof_matrix @ self.pi_zero
-
 
 class _Slot:
     """Attribute of an ElementOperators view: its cell's slot of the group value."""
@@ -429,9 +421,6 @@ class ElementOperators:
     def dof_functionals(self, fn) -> np.ndarray:
         """DOFs of ``fn`` on this cell: shape (n_total,) or (n_total, m)."""
         return self.group.dof_functionals(fn, self.slot)
-
-    dof_projector_elliptic = ElementGroup.dof_projector_elliptic
-    dof_projector_l2 = ElementGroup.dof_projector_l2
 
 
 # cells per ElementGroup: a vertex-count group is built in batches of at most

@@ -70,14 +70,14 @@ def initial_step(system: GlobalSystem, u0: np.ndarray, v0: np.ndarray,
 
 
 def step(state: SimulationState, system: GlobalSystem, f_n: np.ndarray,
-         solver, suggested_dt: float | None = None) -> SimulationState:
+         solver) -> SimulationState:
     """One leap-frog update: M u^{n+1} = 2M u^n - M u^{n-1} + dt^2 (F^n - K u^n)."""
     dt = state.dt
     u_next = (2.0 * state.u_curr - state.u_prev
               + dt * dt * solver(f_n - system.stiffness @ state.u_curr))
     # NaN propagates through max, so one pass also catches non-finite values
     if not np.abs(u_next).max() <= 1e12:
-        raise InstabilityError(state.step_index + 1, suggested_dt)
+        raise InstabilityError(state.step_index + 1)
     return SimulationState(state.u_curr, u_next, state.step_index + 1, dt)
 
 
@@ -110,8 +110,10 @@ def cfl_timestep(system: GlobalSystem, safety: float = 0.9,
 
 
 def check_cfl(system: GlobalSystem, dt: float, solver) -> CflEstimate:
-    """Go/no-go CFL check: refuse (ValueError) any dt above the stability limit,
-    and return the estimate otherwise."""
+    """Go/no-go CFL check: refuse any dt that fails ``check_dt`` (ParameterError)
+    or lies above the stability limit (ValueError), and return the estimate
+    otherwise."""
+    check_dt(dt)
     # at tol 1e-3 ARPACK still finds lambda_max to <= 1e-5 relative on every
     # h-convergence system, and it costs less than at the default tol; its Ritz
     # value is at or below lambda_max, so est.dt is at most that much above the
@@ -183,12 +185,16 @@ def load_checkpoint(path) -> SimulationState:
 
 def simulate(system: GlobalSystem, u0: np.ndarray, v0: np.ndarray, dt: float,
              n_steps: int, load=None, *, solver=None,
-             energy_every: int = 0, on_step=None,
-             suggested_dt: float | None = None):
+             energy_every: int = 0, on_step=None):
     """Integrate n_steps of leap-frog from interpolated initial data (free DOFs).
 
     ``load(step_index) -> F`` returns the free-DOF load at t_n (defaults to zero).
-    Returns (state, energies) where energies holds (step, E) samples."""
+    Returns (state, energies) where energies holds (step, E) samples.  dt must
+    pass ``check_dt`` and n_steps be an integer >= 0, else ParameterError; a
+    diverging run raises InstabilityError."""
+    check_dt(dt)
+    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 0):
+        raise ParameterError("n_steps", f"n_steps must be an integer >= 0 (got {n_steps!r})")
     if n_steps == 0:
         return SimulationState(u0.copy(), u0.copy(), 0, dt), []
     solver = solver or make_solver(system)
@@ -202,7 +208,7 @@ def simulate(system: GlobalSystem, u0: np.ndarray, v0: np.ndarray, dt: float,
     if on_step is not None:
         on_step(state)
     for n in range(1, n_steps):
-        state = step(state, system, f_of(n), solver, suggested_dt)
+        state = step(state, system, f_of(n), solver)
         if energy_every and state.step_index % energy_every == 0:
             energies.append((state.step_index, discrete_energy(state, system)))
         if on_step is not None:

@@ -5,14 +5,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vemwave import projectors
+from vemwave import assembly, projectors
 from vemwave.assembly import (
     Material,
     assemble_global,
     assemble_load,
     interpolate,
     local_mass,
+    local_scalar_mass,
     local_stiffness,
+    stabilization,
 )
 from vemwave.mesh import NEUMANN, PolygonalMesh, generate_family
 from vemwave.polybasis import basis_dimension, monomial_exponents
@@ -372,6 +374,69 @@ class TestGlobalAssembly:
         ref = ref[np.ix_(system.free, system.free)]
         got = system.stiffness.toarray()
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+class TestStabilization:
+    """``assembly.stabilization`` is the one site of the dofi-dofj recipe."""
+
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_vanishes_on_polynomials(self, family, degree):
+        """s = I - D Pi annihilates the DOFs of every degree-k polynomial, so
+        neither term touches the consistency part's exactness."""
+        mat = Material(1.3, 2.0, 0.7)
+        ops = ElementOperators(generate_family(family, 0, seed=3), 4, degree)
+        c, d = ops.geometry.centroid, ops.geometry.diameter
+        polys = np.column_stack([ops.dof_functionals(
+            lambda p, a=a, b=b: ((p[:, 0] - c[0]) / d) ** a * ((p[:, 1] - c[1]) / d) ** b)
+            for a, b in monomial_exponents(degree)])
+        for term in ("mass", "stiffness"):
+            stab = stabilization(ops, mat, term)
+            assert np.abs(stab @ polys).max() <= 1e-12 * np.abs(stab).max()
+
+    def test_each_local_matrix_calls_it_once_for_its_own_term(self, monkeypatch):
+        """Patching the one function swaps the stabilization of both local
+        matrices: with it zeroed, each is its consistency part alone."""
+        calls = []
+
+        def zero(ops, material, term):
+            calls.append(term)
+            return np.zeros((ops.layout.n_total,) * 2)
+
+        mat = Material(1.3, 2.0, 0.7)
+        ops = ElementOperators(generate_family("nonconvex_octagon", 0), 3, 2)
+        full = local_scalar_mass(ops, mat), local_stiffness(ops, mat)
+        monkeypatch.setattr(assembly, "stabilization", zero)
+        mass, stiff = local_scalar_mass(ops, mat), local_stiffness(ops, mat)
+        assert calls == ["mass", "stiffness"]
+        n = ops.layout.n_total
+        assert np.abs(full[0] - mass - stabilization(ops, mat, "mass")).max() <= 1e-14
+        k_stab = stabilization(ops, mat, "stiffness")
+        for block in (slice(None, n), slice(n, None)):
+            assert np.abs(full[1][block, block] - stiff[block, block]
+                          - k_stab).max() <= 1e-12 * np.abs(k_stab).max()
+
+
+# measured max-abs relative differences between the bases, level 0: the
+# interior moments follow ``basis_kind``, so the schemes differ from k = 2 on
+_BASES_DIFFER = {2: "0.95-0.98", 3: "0.998-1.0", 4: "1.0"}
+
+
+@pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+@pytest.mark.parametrize("degree", [
+    1, *(pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, reason=f"interior moments follow basis_kind: {diff} apart"))
+        for k, diff in _BASES_DIFFER.items())])
+def test_bases_assemble_the_same_matrices(family, degree, material):
+    """The basis changes the conditioning, not the scheme: the monomial and
+    orthonormal bases assemble the same scalar mass and stiffness to round-off
+    (k = 1 today: at most 4.4e-16)."""
+    mesh = generate_family(family, 0)
+    mono, ortho = (assemble_global(mesh, degree, material, basis_kind=kind)
+                   for kind in ("monomial", "orthonormal"))
+    for name in ("scalar_mass", "stiffness"):
+        a, b = getattr(mono, name), getattr(ortho, name)
+        assert abs(a - b).max() <= 1e-12 * abs(a).max()
 
 
 def _csr_bytes(a):

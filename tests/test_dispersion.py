@@ -11,6 +11,7 @@ from vemwave.assembly import Material, assemble_global
 from vemwave.cli import main
 from vemwave.dispersion import (
     DispersionConfig,
+    ModeIdentificationError,
     UnstableTimestepError,
     anisotropy_sweep,
     bloch_reduce,
@@ -384,6 +385,26 @@ class TestSemidiscrete:
         res = semidiscrete_dispersion(cfg)
         assert abs(res.c_s_h / cfg.material.c_s - 1.0) <= 1e-6
         assert abs(res.c_p_h / cfg.material.c_p - 1.0) <= 1e-6
+
+    def test_strict_refuses_a_tied_shear_pick(self, monkeypatch):
+        """Two eigenvalues at omega_S^2 tie the shear pick: ``strict=True``
+        refuses it, the default reports it as ambiguous."""
+        cfg = DispersionConfig("quad", 1, 0.2, np.pi / 4, 2.0, p_convention="shared")
+        mat, kn = cfg.material, cfg.wavenumber()
+        tied = np.array([(kn * mat.c_s) ** 2, (kn * mat.c_s) ** 2, (kn * mat.c_p) ** 2])
+        monkeypatch.setattr(dispersion, "_pencil_eigvals", lambda red: tied.copy())
+        with pytest.raises(ModeIdentificationError):
+            semidiscrete_dispersion(cfg, strict=True)
+        assert semidiscrete_dispersion(cfg).ambiguous
+
+    @pytest.mark.xfail(strict=True, reason="no accuracy floor: reads e_P = e_S = -1.0 "
+                                           "with ambiguous False")
+    def test_strict_refuses_round_off_sized_modes(self):
+        """At delta = 1e-9 the physical eigenvalues lie below the eigensolver's
+        absolute error, so a strict analysis must refuse the row."""
+        cfg = DispersionConfig("quad", 1, 1e-9, np.pi / 4, 2.0)
+        with pytest.raises(ModeIdentificationError):
+            semidiscrete_dispersion(cfg, strict=True)
 
 
 class TestFullyDiscrete:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vemwave import harness
+from vemwave import timestep as ts
 from vemwave.assembly import Material, assemble_global, interpolate
 from vemwave.cli import main
 from vemwave.harness import (
@@ -162,6 +163,30 @@ class TestConvergenceDriver:
         problem = standing_wave_benchmark(material)
         with pytest.raises(ValueError, match="CFL"):
             solve_benchmark(system, problem, dt=0.5, final_time=1.0)
+
+    def test_instability_names_the_cfl_estimate(self, monkeypatch, material):
+        """Only solve_benchmark knows the CFL estimate: it re-raises the
+        simulation's InstabilityError with that estimate as suggested_dt."""
+        estimates = []
+
+        def recording_check(system, dt, solver):
+            estimates.append(check_cfl(system, dt, solver))
+            return estimates[-1]
+
+        def diverge(*args, **kwargs):
+            raise ts.InstabilityError(7)
+
+        check_cfl = ts.check_cfl
+        monkeypatch.setattr(ts, "check_cfl", recording_check)
+        monkeypatch.setattr(ts, "simulate", diverge)
+        system = assemble_global(generate_family("random_quad", 0), 1, material)
+        with pytest.raises(ts.InstabilityError) as info:
+            solve_benchmark(system, standing_wave_benchmark(material), 5e-4, 0.01)
+        est, = estimates
+        assert info.value.step_index == 7
+        assert info.value.suggested_dt == est.dt
+        assert str(info.value) == (f"leap-frog iteration diverged at step 7; "
+                                   f"the CFL estimate suggests dt <= {est.dt:.6e}")
 
     def test_errors_decrease_with_level(self):
         study = run_convergence("random_quad", [1], range(2), 1e-3, 0.02, seed=0)

@@ -19,11 +19,21 @@ from vemwave.mesh import (
     validate_regularity,
 )
 from vemwave.projectors import DofMap, ElementGroup
-from vemwave.timestep import cfl_timestep, step_count
+from vemwave.timestep import cfl_timestep, check_cfl, make_solver, simulate, step_count
 
 
 def _mesh():
     return generate_family("random_quad", 0)
+
+
+def _system():
+    return assemble_global(_mesh(), 1, Material(1.0, 1.0, 1.0))
+
+
+def _simulate(dt=5e-4, n_steps=3):
+    system = _system()
+    zero = np.zeros(system.n_free)
+    return simulate(system, zero, zero, dt, n_steps)
 
 
 def _config(**kwargs):
@@ -50,8 +60,14 @@ CASES = [
     pytest.param("dt", lambda: step_count(0.1, np.inf), id="step_count-dt"),
     pytest.param("final_time", lambda: step_count(-1.0, 1e-3), id="step_count-T"),
     pytest.param("final_time", lambda: step_count(0.0105, 1e-3), id="step_count-multiple"),
-    pytest.param("safety", lambda: cfl_timestep(
-        assemble_global(_mesh(), 1, Material(1.0, 1.0, 1.0)), safety=2.0), id="safety"),
+    pytest.param("safety", lambda: cfl_timestep(_system(), safety=2.0), id="safety"),
+    *(pytest.param("dt", lambda dt=dt: check_cfl(_system(), dt, make_solver(_system())),
+                   id=f"check_cfl-dt-{dt:g}")
+      for dt in (np.nan, 0.0, -1.0)),
+    *(pytest.param("dt", lambda dt=dt: _simulate(dt=dt), id=f"simulate-dt-{dt:g}")
+      for dt in (0.0, -5e-4, np.nan)),
+    *(pytest.param("n_steps", lambda n=n: _simulate(n_steps=n), id=f"simulate-n_steps-{n}")
+      for n in (-3, 2.5)),
     pytest.param("grid", lambda: _config(grid="hexa"), id="config-grid"),
     pytest.param("degree", lambda: _config(degree=0), id="config-degree"),
     pytest.param("delta", lambda: _config(delta=-1.0), id="config-delta"),
