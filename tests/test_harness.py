@@ -167,7 +167,7 @@ class TestConvergenceDriver:
     def test_instability_names_the_cfl_estimate(self, monkeypatch, material):
         """Only solve_benchmark knows the CFL estimate: it re-raises the
         simulation's InstabilityError with that estimate as suggested_dt."""
-        estimates = []
+        estimates, check_cfl = [], ts.check_cfl
 
         def recording_check(system, dt, solver):
             estimates.append(check_cfl(system, dt, solver))
@@ -176,7 +176,6 @@ class TestConvergenceDriver:
         def diverge(*args, **kwargs):
             raise ts.InstabilityError(7)
 
-        check_cfl = ts.check_cfl
         monkeypatch.setattr(ts, "check_cfl", recording_check)
         monkeypatch.setattr(ts, "simulate", diverge)
         system = assemble_global(generate_family("random_quad", 0), 1, material)
