@@ -43,10 +43,13 @@ class Material:
 
     @classmethod
     def from_wave_speeds(cls, rho: float, c_p: float, speed_ratio: float) -> "Material":
-        """Material with given P-wave speed and ratio r = c_p/c_s (requires r > sqrt(2))."""
-        if speed_ratio <= np.sqrt(2.0):
-            raise ParameterError("speed_ratio",
-                                 "speed ratio c_p/c_s must exceed sqrt(2) for lambda >= 0")
+        """Material with given P-wave speed and ratio r = c_p/c_s: the one check of
+        both, c_p finite and > 0, r finite and > sqrt(2) (so that lambda >= 0)."""
+        if not (math.isfinite(c_p) and c_p > 0):
+            raise ParameterError("c_p", f"c_p must be finite and > 0 (got {c_p:g})")
+        if not (math.isfinite(speed_ratio) and speed_ratio > np.sqrt(2.0)):
+            raise ParameterError("speed_ratio", f"speed ratio c_p/c_s must be finite and exceed "
+                                                f"sqrt(2) for lambda >= 0 (got {speed_ratio:g})")
         c_s = c_p / speed_ratio
         mu = rho * c_s ** 2
         lam = rho * (c_p ** 2 - 2.0 * c_s ** 2)
@@ -57,14 +60,17 @@ def stabilization(ops: ElementOperators | ElementGroup, material: Material,
                   term: str) -> np.ndarray:
     """The one site of the dofi-dofj stabilization, coefficient * s^T s with
     s = I - D Pi: Pi0 and rho h_P^2 for the scalar mass (``term`` "mass"), PiNabla
-    and max(2 mu, lambda) for each stiffness component ("stiffness").  One cell's
+    and 2 mu for each stiffness component ("stiffness").  The stiffness coefficient
+    leaves lambda out, so the scheme does not lock as lambda grows: the
+    consistency's lambda-term vanishes on a divergence-free field, and so does
+    the stabilization's (Beirao da Veiga-Brezzi-Marini, SINUM 2013).  One cell's
     matrix for a view, (G, n, n) for a group."""
     if term == "mass":
         projector = ops.pi_zero
         coefficient = material.rho * np.asarray(ops.geometry.diameter)[..., None, None] ** 2
     else:
         projector = ops.pi_nabla
-        coefficient = max(2.0 * material.mu, material.lam)
+        coefficient = 2.0 * material.mu
     s = np.eye(ops.layout.n_total) - ops.dof_matrix @ projector
     return coefficient * (mT(s) @ s)
 
@@ -77,16 +83,6 @@ def local_scalar_mass(ops: ElementOperators | ElementGroup,
     consistency = material.rho * (mT(ops.pi_zero) @ ops.grams.mass @ ops.pi_zero)
     scalar = consistency + stabilization(ops, material, "mass")
     return 0.5 * (scalar + mT(scalar))
-
-
-def local_mass(ops: ElementOperators | ElementGroup, material: Material) -> np.ndarray:
-    """Local vector mass matrix: the scalar mass on each component block."""
-    scalar = local_scalar_mass(ops, material)
-    n = scalar.shape[-1]
-    out = np.zeros(scalar.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = scalar
-    out[..., n:, n:] = scalar
-    return out
 
 
 def local_stiffness(ops: ElementOperators | ElementGroup, material: Material) -> np.ndarray:

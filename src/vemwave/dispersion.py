@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -57,11 +57,7 @@ class DispersionConfig:
             raise ParameterError("delta", "delta must be > 0")
         if not np.isfinite(self.delta):
             raise ParameterError("delta", f"delta must be finite (got {self.delta:g})")
-        if not self.speed_ratio > np.sqrt(2.0):
-            raise ParameterError("speed_ratio", "speed ratio r = c_p/c_s must exceed sqrt(2)")
-        if not np.isfinite(self.speed_ratio):
-            raise ParameterError("speed_ratio", f"speed ratio r = c_p/c_s must be finite "
-                                                f"(got {self.speed_ratio:g})")
+        self.material  # validates the speed ratio
         if not 0.0 <= self.theta < 2.0 * np.pi:
             raise ParameterError("theta", "theta must lie in [0, 2 pi)")
         if not 0.0 < self.q_rel <= 1.0:
@@ -95,12 +91,6 @@ class BlochReduction:
     mass: np.ndarray
     stiffness: np.ndarray
     wavevector: np.ndarray
-    _plan: "_BlochPlan" = field(repr=False)
-
-    @property
-    def projector(self) -> np.ndarray:
-        """Dense complex projection P (vector DOFs x reduced DOFs), built on demand."""
-        return self._plan.projector(self.wavevector)
 
 
 @dataclass
@@ -165,7 +155,9 @@ class _BlochPlan:
     """The wavevector-independent half of the Bloch reduction of one system.
 
     Every scalar DOF is a master or the phased copy of one, at a translation
-    ``offset``; ``col`` gives the reduced column of each vector DOF, the y
+    ``offset``: a vertex DOF as its vertex in ``mesh.periodic``, an edge moment
+    as its edge, and a slave (a DOF whose master is not itself) of a slave is
+    a ValueError.  ``col`` gives the reduced column of each vector DOF, the y
     components' m = n/2 columns after the x components'.  The distinct offsets
     are few (at most 4 on a periodic cell), so the offset difference of a
     matrix entry is one of a small table of classes.  The plan keeps the COO
@@ -178,15 +170,14 @@ class _BlochPlan:
         mesh, dofmap = system.mesh, system.dofmap
         if mesh.periodic is None:
             raise ValueError("mesh carries no periodic pairing")
-        n_s = dofmap.n_scalar
-        master = np.arange(n_s)
-        offset = np.zeros((n_s, 2))
-        is_slave = np.zeros(n_s, dtype=bool)
-        for v, (mv, off) in mesh.periodic.vertex_master.items():
-            master[v], offset[v], is_slave[v] = mv, off, True
-        for e, (me, off) in mesh.periodic.edge_master.items():
-            s = dofmap.edge_dofs(int(e))
-            master[s], offset[s], is_slave[s] = dofmap.edge_dofs(int(me)), off, True
+        pairing, n_s, n_v = mesh.periodic, dofmap.n_scalar, mesh.n_vertices
+        edges = slice(dofmap.edge_offset, dofmap.cell_offset)
+        master, offset = np.arange(n_s), np.zeros((n_s, 2))
+        master[:n_v], offset[:n_v] = pairing.vertex_master, pairing.vertex_offset
+        edge_dofs = master[edges].reshape(mesh.n_edges, dofmap.per_edge)
+        master[edges] = edge_dofs[pairing.edge_master].ravel()
+        offset[edges] = np.repeat(pairing.edge_offset, dofmap.per_edge, axis=0)
+        is_slave = master != np.arange(n_s)
         chained = np.flatnonzero(is_slave & is_slave[master])
         if len(chained):
             s = chained[0]
@@ -238,12 +229,6 @@ class _BlochPlan:
         _hermitian_average(stiffness)
         return mass, stiffness
 
-    def projector(self, kvec: np.ndarray) -> np.ndarray:
-        p = np.zeros((len(self.col), self.n), dtype=complex)
-        p[np.arange(len(self.col)), self.col] = np.exp(
-            1j * (kvec[0] * self.offset[:, 0] + kvec[1] * self.offset[:, 1]))
-        return p
-
 
 # one plan per live system; an entry goes when its system is collected
 _PLANS = weakref.WeakKeyDictionary()
@@ -261,8 +246,8 @@ def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction
     then evaluates one phase per offset class, exactly 1 when both DOFs carry
     the same offset, and scatters the scalar mass once and K.  M is reduced
     from ``system.scalar_mass``; the block matrix ``system.mass`` is built
-    only on an explicit read, by neither this path nor the solve path.  P
-    itself is built only when the ``projector`` property is read.
+    only on an explicit read, by neither this path nor the solve path, and P
+    itself is never formed.
     ``wavevector`` must be two finite numbers (ParameterError otherwise)."""
     try:
         kvec = np.array(wavevector, dtype=float)
@@ -275,7 +260,7 @@ def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction
     if plan is None:
         plan = _PLANS[system] = _BlochPlan(system)
     mass, stiffness = plan.reduce(kvec)
-    return BlochReduction(mass, stiffness, kvec, plan)
+    return BlochReduction(mass, stiffness, kvec)
 
 
 def _pencil_eigvals(red: BlochReduction, largest_only: bool = False) -> np.ndarray:

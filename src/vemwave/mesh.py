@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,13 +100,17 @@ class CellGroup:
     edge_signs: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class PeriodicPairing:
-    """Slave -> (master, offset) maps; offset is the translation slave = master + offset."""
+    """Vertex v is the copy of ``vertex_master[v]`` translated by ``vertex_offset[v]``,
+    edge e that of ``edge_master[e]`` by ``edge_offset[e]``; a master maps to itself
+    at a zero offset.  A slave lies at x or y = ``period``, the side of the cell."""
 
     period: float
-    vertex_master: dict = field(default_factory=dict)
-    edge_master: dict = field(default_factory=dict)
+    vertex_master: np.ndarray
+    vertex_offset: np.ndarray
+    edge_master: np.ndarray
+    edge_offset: np.ndarray
 
 
 class PolygonalMesh:
@@ -619,48 +623,37 @@ def _cell_c4():
 
 def _attach_periodic_pairing(mesh: PolygonalMesh, h: float):
     tol = 1e-12 * h
-    pairing = PeriodicPairing(period=h)
+    boundary = mesh.boundary_edges()
+    verts = np.unique(mesh.edges[boundary])
+    p = mesh.vertices[verts]
+    vertex_master, vertex_offset = _periodic_images(
+        mesh.n_vertices, verts, p, np.where(np.abs(p - h) < tol, p, 0.0), tol, "vertex")
+    ends = mesh.vertices[mesh.edges[boundary]]
+    far = (np.abs(ends - h) < tol).all(axis=1)  # both ends at x = h, at y = h
+    edge_master, edge_offset = _periodic_images(
+        mesh.n_edges, boundary, ends.mean(axis=1), np.where(far, h, 0.0), tol, "edge")
+    mesh.edge_tags[boundary] = np.where(far.any(axis=1), PERIODIC_SLAVE, PERIODIC_MASTER)
+    mesh.periodic = PeriodicPairing(h, vertex_master, vertex_offset, edge_master, edge_offset)
 
-    def canonical(x):
-        return 0.0 if abs(x - h) < tol else x
 
-    pos_index = {}
-    boundary_vertices = set()
-    for e in mesh.boundary_edges():
-        boundary_vertices.update(map(int, mesh.edges[e]))
-    for v in boundary_vertices:
-        p = mesh.vertices[v]
-        pos_index[(round(p[0] / tol), round(p[1] / tol))] = v
-    for v in sorted(boundary_vertices):
-        p = mesh.vertices[v]
-        mx, my = canonical(p[0]), canonical(p[1])
-        if (mx, my) == (p[0], p[1]):
-            continue
-        key = (round(mx / tol), round(my / tol))
-        if key not in pos_index:
-            raise MeshError(f"periodic pairing: vertex {v} at {tuple(p)} has no master image")
-        pairing.vertex_master[v] = (pos_index[key], (p[0] - mx, p[1] - my))
-
-    edge_mid_index = {}
-    for e in mesh.boundary_edges():
-        a, b = mesh.edges[e]
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        edge_mid_index[(round(mid[0] / tol), round(mid[1] / tol))] = e
-    for e in sorted(mesh.boundary_edges()):
-        a, b = mesh.edges[e]
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        on_right = abs(mesh.vertices[a][0] - h) < tol and abs(mesh.vertices[b][0] - h) < tol
-        on_top = abs(mesh.vertices[a][1] - h) < tol and abs(mesh.vertices[b][1] - h) < tol
-        if not (on_right or on_top):
-            mesh.edge_tags[e] = PERIODIC_MASTER
-            continue
-        offset = (h if on_right else 0.0, h if on_top else 0.0)
-        key = (round((mid[0] - offset[0]) / tol), round((mid[1] - offset[1]) / tol))
-        if key not in edge_mid_index:
-            raise MeshError(f"periodic pairing: edge {e} has no master image")
-        pairing.edge_master[e] = (edge_mid_index[key], offset)
-        mesh.edge_tags[e] = PERIODIC_SLAVE
-    mesh.periodic = pairing
+def _periodic_images(n: int, ids: np.ndarray, points: np.ndarray, offset: np.ndarray,
+                     tol: float, entity: str) -> tuple[np.ndarray, np.ndarray]:
+    """Master (n,) and offset (n, 2) of n vertices or edges: each of the ascending
+    ``ids`` at ``points`` with a nonzero ``offset`` is the copy of the one found at
+    points - offset, by the coordinates rounded to ``tol``; the rest map to itself."""
+    slave = offset.any(axis=1)
+    keys = np.rint(np.concatenate([points, points[slave] - offset[slave]]) / tol)
+    inverse = np.unique(keys.astype(np.int64), axis=0, return_inverse=True)[1].ravel()
+    owner = np.full(len(keys), -1)
+    owner[inverse[:len(ids)]] = ids
+    image = owner[inverse[len(ids):]]
+    if (image < 0).any():
+        j = np.flatnonzero(slave)[np.argmax(image < 0)]
+        raise MeshError(f"periodic pairing: {entity} {ids[j]} at {tuple(points[j].tolist())} "
+                        f"has no master image")
+    master, full_offset = np.arange(n), np.zeros((n, 2))
+    master[ids[slave]], full_offset[ids[slave]] = image, offset[slave]
+    return master, full_offset
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,6 @@ class DofMap:
     def n_vector(self) -> int:
         return 2 * self.n_scalar
 
-    def edge_dofs(self, e: int) -> np.ndarray:
-        start = self.edge_offset + e * self.per_edge
-        return np.arange(start, start + self.per_edge)
-
     def group_scalar_dofs(self, cells: CellGroup) -> np.ndarray:
         """Global scalar DOFs (G, n_total) of a group, in local layout order."""
         g = len(cells.index)
@@ -134,12 +130,8 @@ def _edge_reference(degree: int):
     a_sys = np.zeros((k + 1, k + 1))
     a_sys[0] = npleg.legvander(np.array([-1.0]), k)[0]
     a_sys[1] = npleg.legvander(np.array([1.0]), k)[0]
-    if k >= 2:
-        mx, mw = np.polynomial.legendre.leggauss(k + 1)
-        mt = 0.5 * mx
-        mvander = npleg.legvander(2.0 * mt, k)
-        for ell in range(k - 1):
-            a_sys[2 + ell] = (0.5 * mw * mt ** ell) @ mvander
+    for ell in range(k - 1):
+        a_sys[2 + ell] = (0.5 * gw * t ** ell) @ vander
     trace_coeff = np.linalg.solve(a_sys.T, vander.T).T
     moment_weights = unit_weights[:, None] * t[:, None] ** np.arange(k - 1)
     out = (t, unit_weights, trace_coeff, moment_weights)

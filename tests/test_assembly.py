@@ -11,14 +11,24 @@ from vemwave.assembly import (
     assemble_global,
     assemble_load,
     interpolate,
-    local_mass,
     local_scalar_mass,
     local_stiffness,
     stabilization,
 )
+from vemwave.harness import error_norms
 from vemwave.mesh import NEUMANN, PolygonalMesh, generate_family
 from vemwave.polybasis import basis_dimension, monomial_exponents
 from vemwave.projectors import ElementOperators, build_element_operators
+
+
+def local_mass(ops, material):
+    """Local vector mass matrix: the scalar mass on each component block."""
+    scalar = local_scalar_mass(ops, material)
+    n = scalar.shape[-1]
+    out = np.zeros(scalar.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = scalar
+    out[..., n:, n:] = scalar
+    return out
 
 
 def p1_mass(vertices, rho):
@@ -79,7 +89,7 @@ class TestMaterial:
         assert abs(mat.lam - 1.0) < 1e-15
         with pytest.raises(ValueError):
             Material.from_wave_speeds(1.0, 1.0, 1.2)
-        # the Material check covers what the speed-ratio check does not
+        # rho is Material's to check, c_p and the ratio from_wave_speeds'
         for rho, c_p, ratio in ((np.nan, 1.0, 2.0), (1.0, np.inf, 2.0), (1.0, 1.0, np.inf)):
             with pytest.raises(ValueError, match="must be finite"):
                 Material.from_wave_speeds(rho, c_p, ratio)
@@ -437,6 +447,68 @@ def test_bases_assemble_the_same_matrices(family, degree, material):
     for name in ("scalar_mass", "stiffness"):
         a, b = getattr(mono, name), getattr(ortho, name)
         assert abs(a - b).max() <= 1e-12 * abs(a).max()
+
+
+def curl_field(p, t=0.0):
+    """u = curl psi, psi = sin^2(pi x) sin^2(pi y): divergence-free, zero on the
+    unit square's boundary."""
+    x, y = p[:, 0], p[:, 1]
+    return np.pi * np.column_stack([np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y),
+                                    -np.sin(2 * np.pi * x) * np.sin(np.pi * y) ** 2])
+
+
+def curl_field_gradient(p, t=0.0):
+    x, y = p[:, 0], p[:, 1]
+    g = np.empty((len(p), 2, 2))
+    g[:, 0, 0] = np.pi ** 2 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    g[:, 0, 1] = 2 * np.pi ** 2 * np.sin(np.pi * x) ** 2 * np.cos(2 * np.pi * y)
+    g[:, 1, 0] = -2 * np.pi ** 2 * np.cos(2 * np.pi * x) * np.sin(np.pi * y) ** 2
+    g[:, 1, 1] = -g[:, 0, 0]
+    return g
+
+
+def curl_field_load(p, t=0.0):
+    """-div sigma(u) = -mu laplace(u) at mu = 1, whatever lambda: div u = 0."""
+    x, y = p[:, 0], p[:, 1]
+    c = 2 * np.pi ** 3
+    lap_x = c * (np.cos(2 * np.pi * x) - 2 * np.sin(np.pi * x) ** 2) * np.sin(2 * np.pi * y)
+    lap_y = c * (2 * np.sin(np.pi * y) ** 2 - np.cos(2 * np.pi * y)) * np.sin(2 * np.pi * x)
+    return -np.column_stack([lap_x, lap_y])
+
+
+class TestVolumetricLocking:
+    """Static solves K u = F of the divergence-free ``curl_field`` at mu = 1: the
+    exact solution does not depend on lambda, and neither may the error.  A
+    stabilization scaled by max(2 mu, lambda) read 1.9-550x the lambda = 1 error
+    in L2 at lambda = 1e4 here; the 2 mu one reads 0.89-1.14x."""
+
+    def test_field_is_divergence_free_and_loaded_by_minus_laplacian(self):
+        rng = np.random.default_rng(5)
+        p, e = rng.uniform(0.05, 0.95, (6, 2)), 1e-4
+        steps = (np.array([e, 0.0]), np.array([0.0, e]))
+        grad = curl_field_gradient(p)
+        assert np.abs(grad[:, 0, 0] + grad[:, 1, 1]).max() == 0.0
+        for j, d in enumerate(steps):
+            fd = (curl_field(p + d) - curl_field(p - d)) / (2 * e)
+            assert np.abs(fd - grad[:, :, j]).max() < 1e-5
+        lap = sum(curl_field(p + d) - 2 * curl_field(p) + curl_field(p - d) for d in steps)
+        assert np.abs(-lap / e ** 2 - curl_field_load(p)).max() < 1e-4
+
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_error_does_not_grow_with_lambda(self, family, degree):
+        for level in (0, 1, 2):
+            mesh = generate_family(family, level)
+            errs = []
+            for lam in (1.0, 1e4):
+                system = assemble_global(mesh, degree, Material(1.0, lam, 1.0))
+                u = spla.spsolve(system.stiffness.tocsc(),
+                                 assemble_load(system, curl_field_load))
+                errs.append(error_norms(system, system.expand(u), curl_field,
+                                        curl_field_gradient))
+            for norm in ("l2", "h1"):
+                ratio = getattr(errs[1], norm) / getattr(errs[0], norm)
+                assert 1 / 1.25 <= ratio <= 1.25, (level, norm, ratio)
 
 
 def _csr_bytes(a):

@@ -21,14 +21,9 @@ from vemwave.dispersion import (
     reference_system,
     semidiscrete_dispersion,
 )
-from vemwave.mesh import (
-    PERIODIC_GRIDS,
-    ParameterError,
-    PolygonalMesh,
-    _attach_periodic_pairing,
-    _snap_loops,
-    reference_periodic_cell,
-)
+from vemwave.mesh import PERIODIC_GRIDS, ParameterError, reference_periodic_cell
+
+from test_mesh import periodic_tiling
 
 
 def reduced_pencil(grid, degree, kvec, r=2.0):
@@ -37,10 +32,21 @@ def reduced_pencil(grid, degree, kvec, r=2.0):
     return bloch_reduce(system, np.asarray(kvec, dtype=float))
 
 
+def projector(system, kvec):
+    """The dense complex projection P (vector DOFs x reduced DOFs) of the
+    system's Bloch plan: P[r, col[r]] = exp(i kappa . offset[r])."""
+    plan = dispersion._PLANS[system]
+    p = np.zeros((len(plan.col), plan.n), dtype=complex)
+    p[np.arange(len(plan.col)), plan.col] = np.exp(
+        1j * (kvec[0] * plan.offset[:, 0] + kvec[1] * plan.offset[:, 1]))
+    return p
+
+
 class TestBlochReduction:
     def test_zero_wavevector_real_with_acoustic_kernel(self):
         red = reduced_pencil("c2", 2, [0.0, 0.0])
-        assert np.abs(red.projector.imag).max() == 0.0
+        system = reference_system("c2", 2, Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0))
+        assert np.abs(projector(system, [0.0, 0.0]).imag).max() == 0.0
         lam = la.eigh(red.stiffness, red.mass, eigvals_only=True)
         assert np.abs(lam[:2]).max() < 1e-10 * lam[-1]
         assert lam[2] > 1e-6 * lam[-1]
@@ -61,8 +67,9 @@ class TestBlochReduction:
     def test_projector_slave_rows_unit_modulus(self):
         mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
         system = reference_system("c3", 1, mat)
-        red = bloch_reduce(system, np.array([0.9, 0.4]))
-        p = red.projector
+        kvec = np.array([0.9, 0.4])
+        bloch_reduce(system, kvec)
+        p = projector(system, kvec)
         for row in p:
             nz = row[np.abs(row) > 0]
             assert len(nz) == 1
@@ -80,7 +87,7 @@ class TestScatterReductionOracle:
         system = reference_system(grid, degree, mat)
         for kvec in ([0.0, 0.0], [1.1, -0.4], [-0.7, 2.3]):
             red = bloch_reduce(system, np.array(kvec))
-            p = red.projector
+            p = projector(system, kvec)
             for a, reduced in ((system.mass, red.mass),
                                (system.stiffness, red.stiffness)):
                 dense = p.conj().T @ a.toarray() @ p
@@ -111,12 +118,14 @@ class TestScatterReductionOracle:
         system = assemble_global(reference_periodic_cell("c3", 1.0), 2, mat,
                                  eliminate_dirichlet=False)
         kvec = np.array([0.9, -1.3])
-        first, second = bloch_reduce(system, kvec), bloch_reduce(system, kvec)
-        assert first._plan is second._plan
+        first = bloch_reduce(system, kvec)
+        plan = dispersion._PLANS[system]
+        second = bloch_reduce(system, kvec)
+        assert dispersion._PLANS[system] is plan
         twin = assemble_global(reference_periodic_cell("c3", 1.0), 2, mat,
                                eliminate_dirichlet=False)
         fresh = bloch_reduce(twin, kvec)
-        assert fresh._plan is not first._plan
+        assert dispersion._PLANS[twin] is not plan
         for red in (second, fresh):
             assert red.mass.tobytes() == first.mass.tobytes()
             assert red.stiffness.tobytes() == first.stiffness.tobytes()
@@ -132,8 +141,9 @@ class TestScatterReductionOracle:
     def test_chained_slave_rejected(self):
         mat = Material.from_wave_speeds(1.0, np.sqrt(2.0), 2.0)
         mesh = reference_periodic_cell("quad", 1.0)
-        (first, (_, off)), (second, _) = list(mesh.periodic.vertex_master.items())[:2]
-        mesh.periodic.vertex_master[second] = (first, off)
+        master = mesh.periodic.vertex_master
+        first, second = np.flatnonzero(master != np.arange(len(master)))[:2]
+        master[second] = first
         system = assemble_global(mesh, 1, mat, eliminate_dirichlet=False)
         with pytest.raises(ValueError, match="chained"):
             bloch_reduce(system, np.array([0.3, 0.1]))
@@ -180,9 +190,10 @@ class TestInPlaceScatter:
         reds = [bloch_reduce(system, kvec) for kvec in kvecs]
         # the plan reads the scalar mass, not the block mass, with int32 indices
         assert "mass" not in vars(system)
-        assert all(idx.dtype == np.int32 for _, idx, _ in reds[0]._plan.entries)
+        plan = dispersion._PLANS[system]
+        assert all(idx.dtype == np.int32 for _, idx, _ in plan.entries)
         for kvec, red in zip(kvecs, reds):
-            mass, stiffness = reference_reduce(system, red._plan, kvec)
+            mass, stiffness = reference_reduce(system, plan, kvec)
             assert red.mass.tobytes() == mass.tobytes()
             assert red.stiffness.tobytes() == stiffness.tobytes()
 
@@ -265,16 +276,6 @@ class TestPlanMemory:
         assert retained <= 32 * system.scalar_mass.nnz
 
 
-def periodic_tiling(grid, n):
-    """n x n copies of the unit periodic cell as one periodic cell of side n."""
-    cell = reference_periodic_cell(grid, 1.0)
-    loops = [cell.vertices[c] + (i, j) for i in range(n) for j in range(n)
-             for c in cell.cells]
-    mesh = PolygonalMesh(*_snap_loops(loops, 1e-9))
-    _attach_periodic_pairing(mesh, float(n))
-    return mesh
-
-
 class TestSupercellOracle:
     """A Bloch wave of the 3 x 3 tiling at kappa = 0 is a Bloch wave of the unit
     cell at a wavevector with exp(3 i kappa) = 1, so the tiling's spectrum is the
@@ -348,6 +349,14 @@ class TestSemidiscrete:
         res = semidiscrete_dispersion(cfg)
         assert abs(res.e_s - (-0.050489667894936585)) < 1e-12
         assert abs(res.e_p - (-0.11872138000573051)) < 1e-12
+
+    def test_quad_k1_shear_error_independent_of_speed_ratio(self):
+        """The stiffness stabilization scales with mu alone, so lambda does not
+        move the shear error (r = 2, 5 and 10 agree to 3e-14); a coefficient of
+        max(2 mu, lambda) read e_S = -5.0e-2, +0.63 and +1.98 here."""
+        e_s = [semidiscrete_dispersion(DispersionConfig("quad", 1, 0.2, np.pi / 4, r)).e_s
+               for r in (2.0, 5.0, 10.0)]
+        assert np.abs(np.array(e_s[1:]) / e_s[0] - 1.0).max() <= 1e-10
 
     def test_tria_k1_matches_reference_values(self):
         """The k = 1 triangle grid is stabilization-free (VEM = P1 FEM), and the

@@ -57,7 +57,8 @@ def reference_topology(mesh, boundary_tags=None):
 
 
 def reference_pairing(mesh, edges, edge_cells, h):
-    """Periodic slave -> (master, offset) maps found by translating coordinates."""
+    """Periodic masters and offsets of all vertices and edges, found by translating
+    coordinates one boundary vertex or edge at a time."""
     tol = 1e-12 * h
     boundary = np.flatnonzero(edge_cells[:, 1] < 0)
     verts = np.unique(edges[boundary])
@@ -66,18 +67,39 @@ def reference_pairing(mesh, edges, edge_cells, h):
     def image(points, p):
         return int(np.argmin(np.abs(points - p).max(axis=1)))
 
-    vertex_master = {}
+    vertex_master, vertex_offset = np.arange(mesh.n_vertices), np.zeros((mesh.n_vertices, 2))
     for v in verts:
         p = mesh.vertices[v]
         off = np.where(np.abs(p - h) < tol, p, 0.0)
         if off.any():
-            vertex_master[v] = (verts[image(mesh.vertices[verts], p - off)], tuple(off))
-    edge_master = {}
+            vertex_master[v] = verts[image(mesh.vertices[verts], p - off)]
+            vertex_offset[v] = off
+    edge_master, edge_offset = np.arange(len(edges)), np.zeros((len(edges), 2))
     for e, mid in zip(boundary, mids):
         off = np.where((np.abs(mesh.vertices[edges[e]] - h) < tol).all(axis=0), h, 0.0)
         if off.any():
-            edge_master[e] = (boundary[image(mids, mid - off)], tuple(off))
-    return vertex_master, edge_master
+            edge_master[e] = boundary[image(mids, mid - off)]
+            edge_offset[e] = off
+    return vertex_master, vertex_offset, edge_master, edge_offset
+
+
+PAIRING_FIELDS = ("vertex_master", "vertex_offset", "edge_master", "edge_offset")
+
+
+def assert_same_pairing(pairing, arrays):
+    for name, b in zip(PAIRING_FIELDS, arrays):
+        a = getattr(pairing, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def periodic_tiling(grid, n):
+    """n x n copies of the unit periodic cell as one periodic cell of side n."""
+    cell = reference_periodic_cell(grid, 1.0)
+    loops = [cell.vertices[c] + (i, j) for i in range(n) for j in range(n)
+             for c in cell.cells]
+    mesh = PolygonalMesh(*_snap_loops(loops, 1e-9))
+    _attach_periodic_pairing(mesh, float(n))
+    return mesh
 
 
 def shoelace(loop):
@@ -177,7 +199,8 @@ def assert_same_mesh(mesh, ref):
         a, b = getattr(mesh, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     if ref.periodic is not None:
-        assert mesh.periodic == ref.periodic
+        assert mesh.periodic.period == ref.periodic.period
+        assert_same_pairing(mesh.periodic, [getattr(ref.periodic, f) for f in PAIRING_FIELDS])
 
 
 def assert_reference_topology(mesh, boundary_tags=None):
@@ -190,12 +213,11 @@ def assert_reference_topology(mesh, boundary_tags=None):
     if mesh.periodic is None:
         assert list(mesh.edge_tags) == tags
         return
-    vertex_master, edge_master = reference_pairing(mesh, edges, edge_cells,
-                                                   mesh.periodic.period)
-    assert mesh.periodic.vertex_master == vertex_master
-    assert mesh.periodic.edge_master == edge_master
+    pairing = reference_pairing(mesh, edges, edge_cells, mesh.periodic.period)
+    assert_same_pairing(mesh.periodic, pairing)
+    edge_master = pairing[2]
     assert list(mesh.edge_tags) == [
-        INTERIOR if c[1] >= 0 else PERIODIC_SLAVE if e in edge_master else PERIODIC_MASTER
+        INTERIOR if c[1] >= 0 else PERIODIC_SLAVE if edge_master[e] != e else PERIODIC_MASTER
         for e, c in enumerate(edge_cells)]
 
 
@@ -355,6 +377,11 @@ class TestTopology:
     def test_periodic_cell_matches_reference(self, grid):
         assert_reference_topology(reference_periodic_cell(grid, 1.3))
 
+    @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_periodic_tiling_matches_reference(self, grid, n):
+        assert_reference_topology(periodic_tiling(grid, n))
+
     def test_round_trip_matches_reference(self, tmp_path):
         base = generate_family("hexagonal", 1, seed=7)
         boundary = base.edges[base.boundary_edges()]
@@ -423,7 +450,9 @@ class TestPeriodicCells:
     def test_quad_pairing(self):
         mesh = reference_periodic_cell("quad", 1.0)
         assert mesh.n_vertices == 4
-        assert len(mesh.periodic.vertex_master) == 3  # three corners map to one
+        slaves = np.flatnonzero(mesh.periodic.vertex_master != np.arange(4))
+        assert len(slaves) == 3  # three corners map to one
+        assert len(set(mesh.periodic.vertex_master[slaves])) == 1
 
     def test_tria_counts(self):
         mesh = reference_periodic_cell("tria", 1.0)
@@ -446,24 +475,54 @@ class TestPeriodicCells:
     def test_pairing_offsets(self, grid):
         h = 1.3
         mesh = reference_periodic_cell(grid, h)
-        for slave, (master, off) in mesh.periodic.vertex_master.items():
-            err = mesh.vertices[slave] - np.asarray(off) - mesh.vertices[master]
-            assert np.abs(err).max() < 1e-12 * h
-            assert all(abs(o) < 1e-12 or abs(o - h) < 1e-12 for o in off)
-        for slave, (master, off) in mesh.periodic.edge_master.items():
-            ms = mesh.vertices[mesh.edges[slave]].mean(axis=0)
-            mm = mesh.vertices[mesh.edges[master]].mean(axis=0)
-            assert np.abs(ms - np.asarray(off) - mm).max() < 1e-12 * h
+        pairing = mesh.periodic
+        # every vertex and edge, masters included (at a zero offset)
+        err = mesh.vertices - pairing.vertex_offset - mesh.vertices[pairing.vertex_master]
+        assert np.abs(err).max() < 1e-12 * h
+        off = pairing.vertex_offset
+        assert ((np.abs(off) < 1e-12) | (np.abs(off - h) < 1e-12)).all()
+        mids = mesh.vertices[mesh.edges].mean(axis=1)
+        err = mids - pairing.edge_offset - mids[pairing.edge_master]
+        assert np.abs(err).max() < 1e-12 * h
+        assert np.isin(pairing.edge_offset, [0.0, h]).all()
+        for master, offset in ((pairing.vertex_master, off),
+                               (pairing.edge_master, pairing.edge_offset)):
+            slave = master != np.arange(len(master))
+            assert (offset[slave] != 0).any(axis=1).all()
+            assert not offset[~slave].any()
 
     @pytest.mark.parametrize("grid", PERIODIC_GRIDS)
     def test_every_boundary_edge_classified(self, grid):
         mesh = reference_periodic_cell(grid, 1.0)
-        slaves = set(mesh.periodic.edge_master)
+        slaves = set(np.flatnonzero(mesh.periodic.edge_master != np.arange(mesh.n_edges)))
         for e in mesh.boundary_edges():
             if e in slaves:
                 assert mesh.edge_tags[e] == "periodic-slave"
             else:
                 assert mesh.edge_tags[e] == "periodic-master"
+
+
+class TestPeriodicPairingErrors:
+    def test_far_side_vertex_without_image(self):
+        """The random quads' boundary vertices do not line up across the square,
+        so several far-side vertices have no image; the lowest is named."""
+        mesh = generate_family("random_quad", 0)
+        verts = np.unique(mesh.edges[mesh.boundary_edges()])
+        p = mesh.vertices[verts]
+        far = np.abs(p - 1.0) < 1e-12
+        unmatched = [v for v, q in zip(verts[far.any(axis=1)],
+                                       np.where(far, 0.0, p)[far.any(axis=1)])
+                     if np.abs(p - q).max(axis=1).min() >= 1e-12]
+        assert len(unmatched) > 1
+        with pytest.raises(MeshError, match=rf"vertex {unmatched[0]} at \(.*\) has no master"):
+            _attach_periodic_pairing(mesh, 1.0)
+
+    def test_far_side_edge_without_image(self):
+        """An extra vertex splits the bottom edge, so the top edge has no image."""
+        mesh = PolygonalMesh([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3, 4]])
+        top = int(np.flatnonzero((mesh.vertices[mesh.edges][:, :, 1] == 1.0).all(axis=1))[0])
+        with pytest.raises(MeshError, match=rf"edge {top} at \(0.5, 1.0\) has no master"):
+            _attach_periodic_pairing(mesh, 1.0)
 
 
 class TestMeshIO:

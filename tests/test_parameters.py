@@ -47,6 +47,12 @@ CASES = [
     pytest.param("mu", lambda: Material(1.0, 1.0, np.nan), id="Material-mu"),
     pytest.param("speed_ratio", lambda: Material.from_wave_speeds(1.0, 1.0, 1.2),
                  id="from_wave_speeds"),
+    *(pytest.param("speed_ratio", lambda r=r: Material.from_wave_speeds(1.0, 1.0, r),
+                   id=f"from_wave_speeds-r-{r:g}")
+      for r in (np.nan, np.inf)),
+    *(pytest.param("c_p", lambda c_p=c_p: Material.from_wave_speeds(1.0, c_p, 2.0),
+                   id=f"from_wave_speeds-c_p-{c_p:g}")
+      for c_p in (-1.0, 0.0, np.nan, np.inf)),
     pytest.param("degree", lambda: DofMap(_mesh(), 0), id="DofMap"),
     pytest.param("basis_kind", lambda: ElementGroup(_mesh(), _mesh().cell_group([0]), 1,
                                                     basis_kind="legendre"),
@@ -74,6 +80,7 @@ CASES = [
     pytest.param("delta", lambda: _config(delta=np.inf), id="config-delta-inf"),
     pytest.param("speed_ratio", lambda: _config(speed_ratio=1.0), id="config-r"),
     pytest.param("speed_ratio", lambda: _config(speed_ratio=np.inf), id="config-r-inf"),
+    pytest.param("speed_ratio", lambda: _config(speed_ratio=np.nan), id="config-r-nan"),
     pytest.param("theta", lambda: _config(theta=7.0), id="config-theta"),
     pytest.param("q_rel", lambda: _config(q_rel=0.0), id="config-q_rel"),
     pytest.param("p_convention", lambda: _config(p_convention="own"),
