@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .assembly import GlobalSystem, Material, assemble_global
-from .mesh import ParameterError, check_grid, reference_periodic_cell
+from .mesh import ParameterError, check_grid, check_integer, reference_periodic_cell
 from .projectors import check_degree
 from .timestep import check_dt
 
@@ -90,7 +90,6 @@ class BlochReduction:
 
     mass: np.ndarray
     stiffness: np.ndarray
-    wavevector: np.ndarray
 
 
 @dataclass
@@ -260,7 +259,7 @@ def bloch_reduce(system: GlobalSystem, wavevector: np.ndarray) -> BlochReduction
     if plan is None:
         plan = _PLANS[system] = _BlochPlan(system)
     mass, stiffness = plan.reduce(kvec)
-    return BlochReduction(mass, stiffness, kvec)
+    return BlochReduction(mass, stiffness)
 
 
 def _pencil_eigvals(red: BlochReduction, largest_only: bool = False) -> np.ndarray:
@@ -397,8 +396,7 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
     the one at k and has the same spectrum: for an even ``n_angles`` only the
     first half-circle is solved, as theta + pi is in the set.  The parameters
     are validated by ``DispersionConfig``."""
-    if n_angles < 1:
-        raise ParameterError("n_angles", f"n_angles must be >= 1 (got {n_angles})")
+    check_integer("n_angles", n_angles, 1)
     config = DispersionConfig(grid, degree, delta, 0.0, speed_ratio)
     material = config.material
     system = reference_system(grid, degree, material)
@@ -417,8 +415,7 @@ def cfl_parameter(grid: str, degree: int, delta: float, speed_ratio: float,
 def anisotropy_sweep(grid: str, degree: int, delta: float, speed_ratio: float,
                      n_angles: int = 32) -> list[dict]:
     """Velocity ratios c_{X,h}/c_X per propagation angle (CSV-ready rows)."""
-    if n_angles < 8:
-        raise ParameterError("n_angles", f"n_angles must be >= 8 (got {n_angles})")
+    check_integer("n_angles", n_angles, 8)
     rows = []
     for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
         cfg = DispersionConfig(grid, degree, delta, float(theta), speed_ratio)

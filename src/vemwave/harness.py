@@ -190,25 +190,32 @@ def _checked(values, name: str, check) -> list:
     return values
 
 
+def _study_point(mesh, degree: int, basis_kind: str, problem: BenchmarkProblem,
+                 dt: float, final_time: float) -> tuple[GlobalSystem, ErrorNorms]:
+    """Assemble on ``mesh``, integrate the benchmark to final_time, and measure
+    the errors of the final state: one point of an h- or p-refinement study."""
+    system = assemble_global(mesh, degree, problem.material, basis_kind=basis_kind)
+    state = solve_benchmark(system, problem, dt, final_time)
+    return system, error_norms(system, system.expand(state.u_curr),
+                               problem.displacement, problem.gradient, final_time)
+
+
 def run_convergence(family: str, degrees, levels, dt: float, final_time: float,
-                    *, seed: int = 0, material: Material | None = None,
-                    basis_kind: str = "monomial") -> ConvergenceStudy:
-    """Assemble, integrate, and measure errors for each (level, degree) pair."""
+                    *, seed: int = 0) -> ConvergenceStudy:
+    """Assemble, integrate, and measure errors for each (level, degree) pair of
+    the standing-wave benchmark, in the monomial basis."""
     check_family(family)
     ts.step_count(final_time, dt)
     degrees = _checked(degrees, "degree", check_degree)
     levels = _checked(levels, "level", check_level)
-    problem = standing_wave_benchmark(material)
+    problem = standing_wave_benchmark()
     study = ConvergenceStudy()
     for level in levels:
         mesh = generate_family(family, level, seed)
         for degree in degrees:
             start = time.perf_counter()
-            system = assemble_global(mesh, degree, problem.material,
-                                     basis_kind=basis_kind)
-            state = solve_benchmark(system, problem, dt, final_time)
-            errs = error_norms(system, system.expand(state.u_curr),
-                               problem.displacement, problem.gradient, final_time)
+            system, errs = _study_point(mesh, degree, "monomial", problem, dt,
+                                        final_time)
             study.records.append(ConvergenceRecord(
                 family, degree, level, mesh.max_diameter(), system.n_free,
                 errs.l2, errs.h1, time.perf_counter() - start))
@@ -227,8 +234,8 @@ class PRefinementRecord:
 
 
 def run_p_refinement(degrees, dt: float, final_time: float, *,
-                     basis_kinds=("monomial", "orthonormal"), seed: int = 0,
-                     material: Material | None = None) -> list[PRefinementRecord]:
+                     basis_kinds=("monomial", "orthonormal"),
+                     seed: int = 0) -> list[PRefinementRecord]:
     """p-refinement study on the fixed 5x5 randomized quadrilateral mesh.
 
     An ill-conditioned build is recorded as a conditioning failure, not raised:
@@ -237,22 +244,18 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
     ts.step_count(final_time, dt)
     degrees = _checked(degrees, "degree", check_degree)
     mesh = generate_family("random_quad", 0, seed)
-    problem = standing_wave_benchmark(material)
+    problem = standing_wave_benchmark()
     records = []
     for basis_kind in basis_kinds:
         for degree in degrees:
             try:
-                system = assemble_global(mesh, degree, problem.material,
-                                         basis_kind=basis_kind)
-                cond = float(max(g.projector_condition.max() for g in system.groups))
-                state = solve_benchmark(system, problem, dt, final_time)
-                errs = error_norms(system, system.expand(state.u_curr),
-                                   problem.displacement, problem.gradient,
-                                   final_time)
-                records.append(PRefinementRecord(
-                    degree, basis_kind, system.n_free, errs.l2, errs.h1,
-                    cond, False))
+                system, errs = _study_point(mesh, degree, basis_kind, problem, dt,
+                                            final_time)
             except (BasisConditioningError, ProjectorError):
                 records.append(PRefinementRecord(
                     degree, basis_kind, 0, np.nan, np.nan, np.inf, True))
+                continue
+            cond = float(max(g.projector_condition.max() for g in system.groups))
+            records.append(PRefinementRecord(
+                degree, basis_kind, system.n_free, errs.l2, errs.h1, cond, False))
     return records

@@ -39,14 +39,21 @@ class ParameterError(ValueError):
         self.name = name
 
 
+def check_integer(name: str, value, minimum: int) -> None:
+    """ParameterError ``name`` unless value is an integer (a Python or numpy
+    integer) >= minimum."""
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ParameterError(name, f"{name} must be >= {minimum} and an integer "
+                                   f"(got {value!r})")
+
+
 def check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ParameterError("family", f"unknown family {family!r}; choose from {FAMILIES}")
 
 
 def check_level(level: int) -> None:
-    if level < 0:
-        raise ParameterError("level", "level must be >= 0")
+    check_integer("level", level, 0)
 
 
 def check_grid(grid: str) -> None:
@@ -262,8 +269,22 @@ class PolygonalMesh:
         return np.where(self.edge_cells[:, 1] < 0)[0]
 
     def cell_group(self, index) -> CellGroup:
-        """The cells ``index``, which must share one vertex count, as a CellGroup."""
-        index = np.asarray(index, dtype=int)
+        """The cells ``index``, a nonempty list of integers in [0, n_cells) that
+        share one vertex count, as a CellGroup; ParameterError ``cell_index``
+        otherwise."""
+        index = np.asarray(index)
+        if not (index.ndim == 1 and index.size and index.dtype.kind in "iu"):
+            raise ParameterError("cell_index", f"cell indices must be a nonempty list of "
+                                               f"integers (got {index.tolist()!r})")
+        index = index.astype(int, copy=False)
+        outside = (index < 0) | (index >= self.n_cells)
+        if outside.any():
+            raise ParameterError("cell_index", f"cell index {index[outside][0]} is "
+                                               f"outside [0, {self.n_cells})")
+        counts = self.cell_offsets[index + 1] - self.cell_offsets[index]
+        if (counts != counts[:1]).any():
+            raise ParameterError("cell_index", f"cells {index.tolist()} do not share one "
+                                               f"vertex count ({counts.tolist()})")
         pos = self._positions(index)
         return CellGroup(index, self.loop_vertices[pos], self.loop_edges[pos],
                          self.loop_signs[pos])
@@ -370,8 +391,7 @@ def generate_family(family: str, level: int, seed: int = 0) -> PolygonalMesh:
     """
     check_family(family)
     check_level(level)
-    if seed < 0:
-        raise ParameterError("seed", f"seed must be >= 0 (got {seed})")
+    check_integer("seed", seed, 0)
     if family == "random_quad":
         return _random_quad_mesh(5 * 2 ** level, seed)
     if family == "hexagonal":
@@ -548,8 +568,8 @@ def reference_periodic_cell(grid: str, h: float = 1.0) -> PolygonalMesh:
     """Square periodic cell of side h tiled by the requested pattern, with
     master/slave pairing attached (mesh.periodic) and periodic edge tags."""
     check_grid(grid)
-    if h <= 0:
-        raise ParameterError("h", "h must be positive")
+    if not 0 < h < np.inf:
+        raise ParameterError("h", f"h must be positive and finite (got {h!r})")
     builder = {
         "quad": _cell_quad, "tria": _cell_tria, "c1": _cell_c1,
         "c2": _cell_c2, "c3": _cell_c3, "c4": _cell_c4,

@@ -238,9 +238,8 @@ def polygon_diameter(vertices: np.ndarray):
 
 
 def polygon_quadrature(vertices: np.ndarray, exactness: int, *,
-                       centroid: np.ndarray | None = None,
                        name="polygon") -> QuadratureRule:
-    """Quadrature on polygons star-shaped w.r.t. their centroid, by fan triangulation.
+    """Quadrature on polygons star-shaped w.r.t. their area centroid, by fan triangulation.
 
     ``vertices`` is (..., n, 2) for one polygon or a stack of polygons with the same
     vertex count, and the rule is (..., n * m, 2) points and (..., n * m) weights.
@@ -258,8 +257,6 @@ def polygon_quadrature(vertices: np.ndarray, exactness: int, *,
     if (area <= 0).any():
         bad = np.unravel_index(np.argmax(area <= 0), lead) if lead else ()
         raise QuadratureError(f"{_label(name, lead, bad)}: vertex loop is not counterclockwise")
-    if centroid is not None:
-        c = np.asarray(centroid, dtype=float)
     ref_pts, ref_w = _reference_triangle_rule(max(exactness, 0))
     da = v - c[..., None, :]
     db = np.roll(v, -1, axis=-2) - c[..., None, :]

@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import DIRICHLET, CellGroup, ParameterError, PolygonalMesh, polygon_geometry
+from .mesh import (DIRICHLET, CellGroup, ParameterError, PolygonalMesh, check_integer,
+                   polygon_geometry)
 from .polybasis import (
     QuadratureRule,
     basis_dimension,
@@ -57,10 +58,9 @@ class ScalarDofLayout:
 
 
 def check_degree(degree: int, name: str = "degree") -> None:
-    """ParameterError ``name`` unless degree >= 1; a caller whose parameter
-    sets a degree under another name passes that name."""
-    if degree < 1:
-        raise ParameterError(name, f"{name} must be >= 1")
+    """ParameterError ``name`` unless degree is an integer >= 1; a caller whose
+    parameter sets a degree under another name passes that name."""
+    check_integer(name, degree, 1)
 
 
 def scalar_layout(degree: int, n_vertices: int) -> ScalarDofLayout:
@@ -177,6 +177,7 @@ class ElementGroup:
         if basis_kind not in ("monomial", "orthonormal"):
             raise ParameterError("basis_kind",
                                  "basis_kind must be 'monomial' or 'orthonormal'")
+        check_degree(degree)
         self.mesh = mesh
         self.cells = cells
         self.degree = degree
@@ -186,8 +187,7 @@ class ElementGroup:
         names = np.char.add("cell ", cells.index.astype(str))
 
         self.rule: QuadratureRule = polygon_quadrature(
-            self.vertex_coords, 2 * degree + 2,
-            centroid=self.geometry.centroid, name=names)
+            self.vertex_coords, 2 * degree + 2, name=names)
         basis = scaled_monomials(self.geometry.centroid, self.geometry.diameter, degree)
         if basis_kind == "orthonormal":
             basis = orthonormalize(basis, self.rule, name=names)
@@ -321,41 +321,39 @@ class ElementGroup:
 
     # -- DOF functionals ------------------------------------------------------
 
-    def _functionals(self, at_vertices, on_edges, at_interior, at=slice(None)):
-        """DOFs from values (..., npts, m) at the vertices, at all edge points and
-        at the interior rule points (None for k = 1) of the cells ``at``."""
+    def _functionals(self, at_vertices, on_edges, at_interior):
+        """DOFs from values (G, npts, m) at the vertices, at all edge points and
+        at the interior rule points (None for k = 1) of the group's cells."""
         lay = self.layout
         lead, tail = at_vertices.shape[:-2], at_vertices.shape[-1:]
         out = np.empty(lead + (lay.n_total,) + tail)
         out[..., :lay.n_vertices, :] = at_vertices
-        on_edges = on_edges.reshape(self.edges.weights[at].shape + tail)
+        on_edges = on_edges.reshape(self.edges.weights.shape + tail)
         moments = np.einsum("ql,...eqm->...elm", self._moment_weights, on_edges)
         out[..., lay.n_vertices:lay.n_total - lay.n_interior, :] = \
             moments.reshape(lead + (-1,) + tail)
         if lay.n_interior:
-            rule = self.rule[at]
-            qb = self.basis[at].restrict(self.degree - 2).eval(rule.points)
-            area = np.asarray(self.geometry.area[at])[..., None, None]
+            qb = self.basis.restrict(self.degree - 2).eval(self.rule.points)
+            area = self.geometry.area[:, None, None]
             out[..., lay.interior_dofs, :] = \
-                mT(rule.weights[..., None] * qb) @ at_interior / area
+                mT(self.rule.weights[..., None] * qb) @ at_interior / area
         return out
 
-    def dof_functionals(self, fn, at=slice(None)) -> np.ndarray:
-        """DOFs of a pointwise-evaluable function on the cells ``at`` of the group
-        (all by default): vertex values, normalized edge moments, normalized
-        interior moments.  ``fn(points)`` takes points (npts, 2) and returns values
-        (npts,) or (npts, m); it is called once per point set, and the result has
-        shape (G, n_total) or (G, n_total, m) (no cell axis for an integer ``at``).
-        The interpolation entry point; D applies the same ``_functionals`` to the
-        basis."""
+    def dof_functionals(self, fn) -> np.ndarray:
+        """DOFs of a pointwise-evaluable function on the cells of the group:
+        vertex values, normalized edge moments, normalized interior moments.
+        ``fn(points)`` takes points (npts, 2) and returns values (npts,) or
+        (npts, m); it is called once per point set, and the result has shape
+        (G, n_total) or (G, n_total, m).  The interpolation entry point; D
+        applies the same ``_functionals`` to the basis."""
         def values(points):
             vals = np.asarray(fn(points.reshape(-1, 2)))
             return vals.reshape(points.shape[:-1] + (-1,)), vals.ndim == 1
 
-        at_vertices, scalar = values(self.vertex_coords[at])
+        at_vertices, scalar = values(self.vertex_coords)
         out = self._functionals(
-            at_vertices, values(self.edges.points[at])[0],
-            values(self.rule.points[at])[0] if self.layout.n_interior else None, at)
+            at_vertices, values(self.edges.points)[0],
+            values(self.rule.points)[0] if self.layout.n_interior else None)
         return out[..., 0] if scalar else out
 
 
@@ -412,7 +410,7 @@ class ElementOperators:
 
     def dof_functionals(self, fn) -> np.ndarray:
         """DOFs of ``fn`` on this cell: shape (n_total,) or (n_total, m)."""
-        return self.group.dof_functionals(fn, self.slot)
+        return self.group.dof_functionals(fn)[self.slot]
 
 
 # cells per ElementGroup: a vertex-count group is built in batches of at most

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
-from .mesh import ParameterError
+from .mesh import ParameterError, check_integer
 
 _CKPT_MAGIC = b"VEMCKPT1"
 _CKPT_HEADER = struct.Struct("<qdq")  # step index, dt, DOF count
@@ -193,8 +193,7 @@ def simulate(system: GlobalSystem, u0: np.ndarray, v0: np.ndarray, dt: float,
     pass ``check_dt`` and n_steps be an integer >= 0, else ParameterError; a
     diverging run raises InstabilityError."""
     check_dt(dt)
-    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 0):
-        raise ParameterError("n_steps", f"n_steps must be an integer >= 0 (got {n_steps!r})")
+    check_integer("n_steps", n_steps, 0)
     if n_steps == 0:
         return SimulationState(u0.copy(), u0.copy(), 0, dt), []
     solver = solver or make_solver(system)

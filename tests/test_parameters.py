@@ -18,12 +18,17 @@ from vemwave.mesh import (
     reference_periodic_cell,
     validate_regularity,
 )
-from vemwave.projectors import DofMap, ElementGroup
+from vemwave.projectors import DofMap, ElementGroup, ElementOperators, build_element_groups
 from vemwave.timestep import cfl_timestep, check_cfl, make_solver, simulate, step_count
 
 
 def _mesh():
     return generate_family("random_quad", 0)
+
+
+def _hexagonal():
+    """Hexagonal level 0: 23 cells, cell 0 with four vertices and cell 2 with six."""
+    return generate_family("hexagonal", 0)
 
 
 def _system():
@@ -57,11 +62,32 @@ CASES = [
     pytest.param("basis_kind", lambda: ElementGroup(_mesh(), _mesh().cell_group([0]), 1,
                                                     basis_kind="legendre"),
                  id="ElementGroup"),
+    pytest.param("degree", lambda: DofMap(_mesh(), 1.5), id="DofMap-1.5"),
+    pytest.param("degree", lambda: ElementOperators(_hexagonal(), 0, 0),
+                 id="degree-0-element"),
+    pytest.param("degree", lambda: build_element_groups(_hexagonal(), 0),
+                 id="degree-0-groups"),
+    pytest.param("cell_index", lambda: _hexagonal().cell_group([-1]), id="cell_index--1"),
+    pytest.param("cell_index", lambda: _hexagonal().cell_group([0, 2]),
+                 id="cell_index-mixed"),
+    pytest.param("cell_index", lambda: _hexagonal().cell_group([0.7]), id="cell_index-0.7"),
+    pytest.param("cell_index", lambda: _hexagonal().cell_group([]), id="cell_index-empty"),
+    pytest.param("cell_index", lambda: DofMap(_hexagonal(), 1).cell_scalar_dofs(-1),
+                 id="cell_scalar_dofs--1"),
+    pytest.param("cell_index", lambda: ElementOperators(_hexagonal(), -1, 1),
+                 id="ElementOperators-cell--1"),
+    pytest.param("cell_index", lambda: ElementOperators(_hexagonal(), 23, 1),
+                 id="ElementOperators-cell-n_cells"),
     pytest.param("family", lambda: generate_family("icosahedra", 0), id="family"),
     pytest.param("level", lambda: generate_family("hexagonal", -1), id="level"),
+    pytest.param("level", lambda: generate_family("hexagonal", 1.5), id="level-1.5"),
     pytest.param("seed", lambda: generate_family("hexagonal", 0, seed=-1), id="seed"),
+    pytest.param("seed", lambda: generate_family("hexagonal", 0, seed=0.5), id="seed-0.5"),
     pytest.param("grid", lambda: reference_periodic_cell("hexa"), id="periodic-grid"),
     pytest.param("h", lambda: reference_periodic_cell("quad", 0.0), id="periodic-h"),
+    *(pytest.param("h", lambda h=h: reference_periodic_cell("quad", h),
+                   id=f"periodic-h-{h:g}")
+      for h in (np.nan, np.inf)),
     pytest.param("rho_star", lambda: validate_regularity(_mesh(), 1.5), id="rho_star"),
     pytest.param("dt", lambda: step_count(0.1, np.inf), id="step_count-dt"),
     pytest.param("final_time", lambda: step_count(-1.0, 1e-3), id="step_count-T"),
@@ -76,6 +102,7 @@ CASES = [
       for n in (-3, 2.5)),
     pytest.param("grid", lambda: _config(grid="hexa"), id="config-grid"),
     pytest.param("degree", lambda: _config(degree=0), id="config-degree"),
+    pytest.param("degree", lambda: _config(degree=1.5), id="config-degree-1.5"),
     pytest.param("delta", lambda: _config(delta=-1.0), id="config-delta"),
     pytest.param("delta", lambda: _config(delta=np.inf), id="config-delta-inf"),
     pytest.param("speed_ratio", lambda: _config(speed_ratio=1.0), id="config-r"),
@@ -90,8 +117,12 @@ CASES = [
       for dt in (0.0, -1e-3, np.nan, np.inf)),
     pytest.param("n_angles", lambda: cfl_parameter("quad", 1, 0.2, 2.0, n_angles=0),
                  id="cfl_parameter"),
+    pytest.param("n_angles", lambda: cfl_parameter("quad", 1, 0.2, 2.0, n_angles=2.5),
+                 id="cfl_parameter-2.5"),
     pytest.param("n_angles", lambda: anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=4),
                  id="anisotropy_sweep"),
+    pytest.param("n_angles", lambda: anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=9.5),
+                 id="anisotropy_sweep-9.5"),
     pytest.param("family", lambda: run_convergence("hexa", [1], [0], 1e-3, 0.01),
                  id="run_convergence-family"),
     pytest.param("degree", lambda: run_convergence("hexagonal", [], [0], 1e-3, 0.01),
@@ -130,6 +161,12 @@ def test_sweeps_check_every_entry_before_any_mesh(monkeypatch):
         run_convergence("random_quad", [1], [0, -1], 1e-3, 0.01)
     with pytest.raises(ParameterError, match="degree must be >= 1"):
         run_p_refinement([1, 0], 1e-3, 0.01)
+
+
+def test_numpy_integers_pass_the_integer_checks():
+    mesh = generate_family("hexagonal", np.int64(0), seed=np.int64(0))
+    assert DofMap(mesh, np.int64(2)).n_scalar == DofMap(mesh, 2).n_scalar
+    assert len(mesh.cell_group(np.array([0, 1])).index) == 2
 
 
 def test_exported_from_the_package():

@@ -169,7 +169,7 @@ class TestOrthonormalize:
             verts = mesh.vertices[mesh.cells[ci]]
             area, c = polygon_area_centroid(verts)
             basis = scaled_monomials(c, polygon_diameter(verts), 8)
-            rule = polygon_quadrature(verts, 18, centroid=c)
+            rule = polygon_quadrature(verts, 18)
             ob = orthonormalize(basis, rule)
             g = monomial_grams(ob, rule)
             cond = np.linalg.cond(g.mass)
