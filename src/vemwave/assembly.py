@@ -122,13 +122,10 @@ class GlobalSystem:
     matrix ``mass`` stores only those two blocks and is built only on an
     explicit read, by neither path."""
 
-    def __init__(self, mesh: PolygonalMesh, degree: int, material: Material,
-                 dofmap: DofMap, groups: list[ElementGroup],
+    def __init__(self, mesh: PolygonalMesh, dofmap: DofMap, groups: list[ElementGroup],
                  scalar_mass: sp.csr_matrix, stiffness: sp.csr_matrix,
                  free: np.ndarray):
         self.mesh = mesh
-        self.degree = degree
-        self.material = material
         self.dofmap = dofmap
         self.groups = groups
         self.scalar_mass = scalar_mass
@@ -213,7 +210,7 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
                      lambda group: local_stiffness(group, material), n, free)
     mass = _scatter(groups, sdofs, lambda group: local_scalar_mass(group, material),
                     n_s, free_scalar)
-    return GlobalSystem(mesh, degree, material, dofmap, groups, mass, stiff, free)
+    return GlobalSystem(mesh, dofmap, groups, mass, stiff, free)
 
 
 def interpolate(system: GlobalSystem, field) -> np.ndarray:

@@ -96,22 +96,17 @@ class BlochReduction:
 class DispersionResult:
     """One plane-wave analysis.
 
-    ``eigenvalues`` is the spectrum of the shear pencil, the one at
-    ``config.wavevector()``, and ``im_omega_max`` is computed from it: the
-    square root of minus its most negative eigenvalue, 0 when none is
-    negative.  Under the 'scaled' convention the P mode comes from a second
-    pencil whose spectrum is not kept.  ``dt`` is the time step of the fully
+    ``im_omega_max`` is computed from the spectrum of the shear pencil, the one
+    at ``config.wavevector()``: the square root of minus its most negative
+    eigenvalue, 0 when none is negative.  ``dt`` is the time step of the fully
     discrete analysis and is None for the semi-discrete one."""
 
     config: DispersionConfig
-    omega_p: float
-    omega_s: float
     c_p_h: float
     c_s_h: float
     e_p: float
     e_s: float
     im_omega_max: float
-    eigenvalues: np.ndarray
     dt: float | None = None
     ambiguous: bool = False
 
@@ -336,15 +331,13 @@ def _pencil_dispersion(config: DispersionConfig, to_omega,
         eig_p = _pencil_eigvals(bloch_reduce(system, kv_p))
         kn_p = float(np.hypot(*kv_p))
     lam_p, amb_p = _mode_pick(eig_p, material, kn_p, "P")
-    omega_p = to_omega(lam_p)
-    omega_s = to_omega(lam_s)
-    c_p_h = omega_p / kn_p
-    c_s_h = omega_s / kn_s
+    c_p_h = to_omega(lam_p) / kn_p
+    c_s_h = to_omega(lam_s) / kn_s
     neg = eig_s[eig_s < 0]
     im_max = float(np.sqrt(-neg.min())) if len(neg) else 0.0
-    return DispersionResult(config, omega_p, omega_s, c_p_h, c_s_h,
+    return DispersionResult(config, c_p_h, c_s_h,
                             c_p_h / material.c_p - 1.0, c_s_h / material.c_s - 1.0,
-                            im_max, eig_s, dt=dt, ambiguous=amb_s or amb_p)
+                            im_max, dt=dt, ambiguous=amb_s or amb_p)
 
 
 def semidiscrete_dispersion(config: DispersionConfig, *,

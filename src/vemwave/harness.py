@@ -10,7 +10,7 @@ import numpy as np
 from .assembly import GlobalSystem, Material, assemble_global, assemble_load, interpolate
 from .mesh import ParameterError, check_family, check_level, generate_family
 from .polybasis import BasisConditioningError
-from .projectors import ProjectorError, check_degree
+from .projectors import ProjectorError, check_basis_kind, check_degree
 from . import timestep as ts
 
 
@@ -243,6 +243,7 @@ def run_p_refinement(degrees, dt: float, final_time: float, *,
     projector system (ProjectorError, the monomial basis at high degree)."""
     ts.step_count(final_time, dt)
     degrees = _checked(degrees, "degree", check_degree)
+    basis_kinds = _checked(basis_kinds, "basis_kind", check_basis_kind)
     mesh = generate_family("random_quad", 0, seed)
     problem = standing_wave_benchmark()
     records = []

@@ -41,8 +41,9 @@ class ParameterError(ValueError):
 
 def check_integer(name: str, value, minimum: int) -> None:
     """ParameterError ``name`` unless value is an integer (a Python or numpy
-    integer) >= minimum."""
-    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+    integer, not a bool) >= minimum."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum):
         raise ParameterError(name, f"{name} must be >= {minimum} and an integer "
                                    f"(got {value!r})")
 
@@ -134,6 +135,9 @@ class PolygonalMesh:
         self.vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"vertex {int(np.argmin(finite))} is not finite")
         cells = list(cells)
         counts = np.fromiter(map(len, cells), dtype=int, count=len(cells))
         self.cell_offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -409,10 +413,8 @@ def _random_quad_mesh(n: int, seed: int) -> PolygonalMesh:
     interior_x = (verts[:, 0] > 0) & (verts[:, 0] < 1)
     interior_y = (verts[:, 1] > 0) & (verts[:, 1] < 1)
     # interior nodes move freely; boundary nodes slide along their side only
-    verts[:, 0] += np.where(interior_x & interior_y, shift[:, 0],
-                            np.where(interior_x, shift[:, 0], 0.0))
-    verts[:, 1] += np.where(interior_x & interior_y, shift[:, 1],
-                            np.where(interior_y, shift[:, 1], 0.0))
+    verts[:, 0] += np.where(interior_x, shift[:, 0], 0.0)
+    verts[:, 1] += np.where(interior_y, shift[:, 1], 0.0)
     v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     return PolygonalMesh(verts, np.stack([v00, v00 + n + 1, v00 + n + 2, v00 + 1], axis=1))
 

@@ -63,6 +63,13 @@ def check_degree(degree: int, name: str = "degree") -> None:
     check_integer(name, degree, 1)
 
 
+def check_basis_kind(basis_kind: str) -> None:
+    """ParameterError unless basis_kind is 'monomial' or 'orthonormal'."""
+    if basis_kind not in ("monomial", "orthonormal"):
+        raise ParameterError("basis_kind", f"basis_kind must be 'monomial' or "
+                                           f"'orthonormal' (got {basis_kind!r})")
+
+
 def scalar_layout(degree: int, n_vertices: int) -> ScalarDofLayout:
     return ScalarDofLayout(degree, n_vertices, degree - 1, basis_dimension(degree - 2))
 
@@ -149,21 +156,18 @@ class EdgeTrace:
     of each edge; ``trace`` (..., n_e, q, n_total) maps the local scalar DOF
     vector to function values at those points; ``param`` (q,) holds the edge
     coordinates t in [-1/2, 1/2] measured along the global edge orientation, the
-    same for every edge.  ``normal`` (..., n_e, 2) holds the outward unit normals
-    and ``length`` (..., n_e) the edge lengths.
+    same for every edge.  The edge normals and lengths are those of the
+    element's ``geometry``.
     """
 
     points: np.ndarray
     weights: np.ndarray
     param: np.ndarray
     trace: np.ndarray
-    normal: np.ndarray
-    length: np.ndarray
 
     def __getitem__(self, i) -> "EdgeTrace":
         """The edges of cell ``i`` of a stack."""
-        return EdgeTrace(self.points[i], self.weights[i], self.param, self.trace[i],
-                         self.normal[i], self.length[i])
+        return EdgeTrace(self.points[i], self.weights[i], self.param, self.trace[i])
 
 
 class ElementGroup:
@@ -174,11 +178,8 @@ class ElementGroup:
 
     def __init__(self, mesh: PolygonalMesh, cells: CellGroup, degree: int, *,
                  basis_kind: str = "monomial"):
-        if basis_kind not in ("monomial", "orthonormal"):
-            raise ParameterError("basis_kind",
-                                 "basis_kind must be 'monomial' or 'orthonormal'")
+        check_basis_kind(basis_kind)
         check_degree(degree)
-        self.mesh = mesh
         self.cells = cells
         self.degree = degree
         self.vertex_coords = mesh.vertices[cells.vertices]
@@ -208,7 +209,7 @@ class ElementGroup:
             self.basis.eval(self.vertex_coords), on_boundary,
             self.basis.eval(self.rule.points) if self.layout.n_interior else None)
         dx, dy = self.basis.eval_gradient(points)
-        normal = np.repeat(self.edges.normal, len(self.edges.param), axis=1)
+        normal = np.repeat(self.geometry.edge_normals, len(self.edges.param), axis=1)
         weighted_trace = (self.edges.weights[..., None] * self.edges.trace).reshape(
             g, points.shape[1], -1)
         self._build_elliptic_projector(dx * normal[..., :1] + dy * normal[..., 1:],
@@ -231,8 +232,7 @@ class ElementGroup:
         end = np.take_along_axis(self.vertex_coords, end_loc[..., None], axis=1)
         mid = 0.5 * (start + end)
         points = mid[..., None, :] + t[:, None] * (end - start)[..., None, :]
-        length = self.geometry.edge_lengths
-        weights = unit_weights * length[..., None]
+        weights = unit_weights * self.geometry.edge_lengths[..., None]
 
         g = len(self.cells.index)
         moments = np.broadcast_to(n + np.arange(n * m).reshape(n, m), (g, n, m))
@@ -240,8 +240,7 @@ class ElementGroup:
         trace = np.zeros((g, n, len(t), lay.n_total))
         trace[np.arange(g)[:, None, None, None], loc[:, None, None],
               np.arange(len(t))[:, None], cols[:, :, None, :]] = trace_coeff
-        self.edges = EdgeTrace(points, weights, t, trace,
-                               self.geometry.edge_normals, length)
+        self.edges = EdgeTrace(points, weights, t, trace)
 
     # -- elliptic projector --------------------------------------------------
 
@@ -267,7 +266,7 @@ class ElementGroup:
 
         # mean-value constraint replaces the constant-monomial row
         if self.degree == 1:
-            perimeter = self.edges.length.sum(axis=-1)[:, None]
+            perimeter = self.geometry.edge_lengths.sum(axis=-1)[:, None]
             g[:, 0] = (self.edges.weights.reshape(len(g), 1, -1) @ on_boundary)[:, 0] \
                 / perimeter
             b[:, 0] = weighted_trace.sum(axis=1) / perimeter
@@ -357,56 +356,43 @@ class ElementGroup:
         return out[..., 0] if scalar else out
 
 
-class _Slot:
-    """Attribute of an ElementOperators view: its cell's slot of the group value."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        return getattr(view.group, self.name)[view.slot]
+# the ElementGroup attributes stacked along its leading cell axis
+_PER_CELL = frozenset({"vertex_coords", "geometry", "rule", "basis", "grams", "edges",
+                       "dof_matrix", "pi_nabla", "pi_zero", "pi_zero_x", "pi_zero_y",
+                       "projector_condition"})
 
 
 class ElementOperators:
-    """One cell's element machinery: a view of one slot of an ElementGroup, with
-    the group's attribute names and per-cell (2-D) arrays.
+    """One cell's element machinery: a view of one slot of an ElementGroup.  It
+    stores only ``group`` and ``slot`` and reads every other public name from the
+    group, a ``_PER_CELL`` name at the slot (per-cell, 2-D arrays).
 
     ``ElementOperators(mesh, ci, degree)`` builds a group of one cell."""
 
-    vertex_coords = _Slot()
-    geometry = _Slot()
-    rule = _Slot()
-    basis = _Slot()
-    grams = _Slot()
-    edges = _Slot()
-    dof_matrix = _Slot()
-    pi_nabla = _Slot()
-    pi_zero = _Slot()
-    pi_zero_x = _Slot()
-    pi_zero_y = _Slot()
-
     def __init__(self, mesh: PolygonalMesh, cell_index: int, degree: int, *,
                  basis_kind: str = "monomial"):
-        self._bind(ElementGroup(mesh, mesh.cell_group([cell_index]), degree,
-                                basis_kind=basis_kind), 0)
+        self.group = ElementGroup(mesh, mesh.cell_group([cell_index]), degree,
+                                  basis_kind=basis_kind)
+        self.slot = 0
 
     @classmethod
     def view(cls, group: ElementGroup, slot: int) -> "ElementOperators":
         ops = cls.__new__(cls)
-        ops._bind(group, slot)
+        ops.group = group
+        ops.slot = slot
         return ops
 
-    def _bind(self, group: ElementGroup, slot: int):
-        self.group = group
-        self.slot = slot
-        self.mesh = group.mesh
-        self.cell_index = int(group.cells.index[slot])
-        self.degree = group.degree
-        self.layout = group.layout
-        self.n_k, self.n_km1, self.n_km2 = group.n_k, group.n_km1, group.n_km2
-        self.projector_condition = float(group.projector_condition[slot])
+    @property
+    def cell_index(self) -> int:
+        return int(self.group.cells.index[self.slot])
+
+    def __getattr__(self, name):
+        # private and special names are not the group's: copy and pickle look
+        # them up before ``group`` is set
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = getattr(self.group, name)
+        return value[self.slot] if name in _PER_CELL else value
 
     def dof_functionals(self, fn) -> np.ndarray:
         """DOFs of ``fn`` on this cell: shape (n_total,) or (n_total, m)."""

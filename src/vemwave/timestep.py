@@ -166,7 +166,8 @@ def save_checkpoint(state: SimulationState, path) -> None:
 
 def load_checkpoint(path) -> SimulationState:
     """Read a checkpoint written by save_checkpoint.  A file that is not one, is
-    truncated or carries trailing bytes raises ValueError naming the file."""
+    truncated, carries trailing bytes, or whose header holds a negative step
+    index or a dt that is not finite and > 0 raises ValueError naming the file."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(_CKPT_MAGIC):
@@ -176,6 +177,9 @@ def load_checkpoint(path) -> SimulationState:
         raise ValueError(f"{path}: truncated checkpoint header "
                          f"({len(data)} of {head} bytes)")
     step_index, dt, n = _CKPT_HEADER.unpack_from(data, len(_CKPT_MAGIC))
+    if step_index < 0 or not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"{path}: corrupt checkpoint header (step index "
+                         f"{step_index}, dt {dt:g})")
     if n < 0 or len(data) != head + 16 * n:
         raise ValueError(f"{path}: a checkpoint of {n} DOFs has {head + 16 * n} "
                          f"bytes, the file has {len(data)}")

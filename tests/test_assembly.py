@@ -180,7 +180,7 @@ def exact_forms_from_dofs(ops, mat, dofs):
 
             total = 0.0
             for trace, weights, normal, pts in zip(edges.trace, edges.weights,
-                                                   edges.normal, edges.points):
+                                                   ops.geometry.edge_normals, edges.points):
                 dxq, dyq = grad_eval(pts)
                 if comp == 0:
                     sig = np.stack([(2 * mat.mu + mat.lam) * dxq, mat.mu * dyq,

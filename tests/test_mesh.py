@@ -246,6 +246,12 @@ class TestValidation:
                           boundary_tags={(0, 1): NEUMANN, key: NEUMANN})
         assert info.value.edge == tuple(sorted(key))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        """The lowest non-finite vertex is named before any cell is checked."""
+        with pytest.raises(MeshError, match="vertex 2 is not finite"):
+            PolygonalMesh([[0, 0], [1, 0], [bad, 1], [0, bad]], [[0, 1, 2]])
+
     def test_clockwise_rejected(self):
         with pytest.raises(MeshError, match="counterclockwise"):
             PolygonalMesh([[0, 0], [1, 0], [1, 1]], [[0, 2, 1]])

@@ -83,6 +83,9 @@ CASES = [
     pytest.param("level", lambda: generate_family("hexagonal", 1.5), id="level-1.5"),
     pytest.param("seed", lambda: generate_family("hexagonal", 0, seed=-1), id="seed"),
     pytest.param("seed", lambda: generate_family("hexagonal", 0, seed=0.5), id="seed-0.5"),
+    pytest.param("level", lambda: generate_family("hexagonal", True), id="level-True"),
+    pytest.param("seed", lambda: generate_family("hexagonal", 0, seed=True), id="seed-True"),
+    pytest.param("degree", lambda: DofMap(_mesh(), True), id="DofMap-True"),
     pytest.param("grid", lambda: reference_periodic_cell("hexa"), id="periodic-grid"),
     pytest.param("h", lambda: reference_periodic_cell("quad", 0.0), id="periodic-h"),
     *(pytest.param("h", lambda h=h: reference_periodic_cell("quad", h),
@@ -99,7 +102,7 @@ CASES = [
     *(pytest.param("dt", lambda dt=dt: _simulate(dt=dt), id=f"simulate-dt-{dt:g}")
       for dt in (0.0, -5e-4, np.nan)),
     *(pytest.param("n_steps", lambda n=n: _simulate(n_steps=n), id=f"simulate-n_steps-{n}")
-      for n in (-3, 2.5)),
+      for n in (-3, 2.5, True)),
     pytest.param("grid", lambda: _config(grid="hexa"), id="config-grid"),
     pytest.param("degree", lambda: _config(degree=0), id="config-degree"),
     pytest.param("degree", lambda: _config(degree=1.5), id="config-degree-1.5"),
@@ -119,6 +122,8 @@ CASES = [
                  id="cfl_parameter"),
     pytest.param("n_angles", lambda: cfl_parameter("quad", 1, 0.2, 2.0, n_angles=2.5),
                  id="cfl_parameter-2.5"),
+    pytest.param("n_angles", lambda: cfl_parameter("quad", 1, 0.2, 2.0, n_angles=True),
+                 id="cfl_parameter-True"),
     pytest.param("n_angles", lambda: anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=4),
                  id="anisotropy_sweep"),
     pytest.param("n_angles", lambda: anisotropy_sweep("quad", 1, 0.2, 2.0, n_angles=9.5),
@@ -137,6 +142,11 @@ CASES = [
                  id="run_p_refinement-no-degree"),
     pytest.param("degree", lambda: run_p_refinement([0], 1e-3, 0.01),
                  id="run_p_refinement-degree"),
+    pytest.param("basis_kind", lambda: run_p_refinement([1], 1e-3, 0.01, basis_kinds=()),
+                 id="run_p_refinement-no-basis_kind"),
+    pytest.param("basis_kind",
+                 lambda: run_p_refinement([1], 1e-3, 0.01, basis_kinds=("monomial", "foo")),
+                 id="run_p_refinement-basis_kind"),
 ]
 
 
@@ -161,6 +171,8 @@ def test_sweeps_check_every_entry_before_any_mesh(monkeypatch):
         run_convergence("random_quad", [1], [0, -1], 1e-3, 0.01)
     with pytest.raises(ParameterError, match="degree must be >= 1"):
         run_p_refinement([1, 0], 1e-3, 0.01)
+    with pytest.raises(ParameterError, match="basis_kind must be"):
+        run_p_refinement([1], 1e-3, 0.01, basis_kinds=("foo",))
 
 
 def test_numpy_integers_pass_the_integer_checks():

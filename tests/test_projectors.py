@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from vemwave.projectors import (
     DofMap,
     ElementGroup,
     ElementOperators,
+    _PER_CELL,
     ProjectorError,
     build_element_groups,
     build_element_operators,
@@ -140,7 +145,7 @@ class TestIdentities:
         grad = coeffs[1:3] / ops.basis.diameter  # gradient of the scaled monomials
         bnd = np.zeros(2)
         for trace, weights, normal in zip(ops.edges.trace, ops.edges.weights,
-                                          ops.edges.normal):
+                                          ops.geometry.edge_normals):
             vals = trace @ dofs
             bnd += normal * (weights @ vals)
         assert np.abs(grad - bnd / ops.geometry.area).max() < 1e-13
@@ -255,6 +260,32 @@ class TestElementGroups:
             assert op.group.cells.index[op.slot] == ci
             assert len(op.vertex_coords) == len(hexagonal_mesh.cells[ci])
             assert isinstance(op.projector_condition, float)
+
+    def test_view_is_group_and_slot(self, hexagonal_mesh):
+        """A view stores its group and slot alone: each ``_PER_CELL`` name reads
+        the group's value at the slot, any other name the group's own value."""
+        def same(a, b):
+            if dataclasses.is_dataclass(a):
+                return type(a) is type(b) and all(
+                    same(getattr(a, f.name), getattr(b, f.name))
+                    for f in dataclasses.fields(a))
+            return np.array_equal(a, b)
+
+        group = build_element_groups(hexagonal_mesh, 2, basis_kind="orthonormal")[-1]
+        slot = len(group.cells.index) - 1
+        view = ElementOperators.view(group, slot)
+        assert vars(view).keys() == {"group", "slot"}
+        for name in _PER_CELL:
+            assert same(getattr(view, name), getattr(group, name)[slot]), name
+        for name in ("degree", "layout", "n_k", "n_km1", "n_km2", "cells"):
+            assert getattr(view, name) is getattr(group, name)
+        assert view.cell_index == group.cells.index[slot]
+        with pytest.raises(AttributeError):
+            view._moment_weights
+        for other in (copy.copy(view), pickle.loads(pickle.dumps(view))):
+            assert vars(other).keys() == {"group", "slot"}
+            assert other.cell_index == view.cell_index
+            assert np.array_equal(other.pi_nabla, view.pi_nabla)
 
     def test_group_dofs_match_cell_dofs(self, hexagonal_mesh):
         dofmap = DofMap(hexagonal_mesh, 3)

@@ -314,6 +314,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a checkpoint"):
             ts.load_checkpoint(path)
 
+    @pytest.mark.parametrize("step_index, dt", [(-1, 0.125), (3, np.nan), (3, 0.0)])
+    def test_corrupt_header_rejected(self, tmp_path, step_index, dt):
+        """A header that save_checkpoint never writes: a negative step index,
+        or a dt that is not finite and > 0."""
+        path = tmp_path / "state.ckpt"
+        path.write_bytes(ts._CKPT_MAGIC + ts._CKPT_HEADER.pack(step_index, dt, 1)
+                         + np.zeros(2).tobytes())
+        with pytest.raises(ValueError, match="state.ckpt: corrupt checkpoint header"):
+            ts.load_checkpoint(path)
+
     @settings(max_examples=30, deadline=None)
     @given(u=st.lists(st.floats(allow_nan=False), min_size=0, max_size=10),
            step_index=st.integers(0, 2 ** 62), dt=st.floats(1e-9, 1.0),
