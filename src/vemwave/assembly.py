@@ -113,7 +113,9 @@ def local_stiffness(ops: ElementOperators | ElementGroup, material: Material) ->
 class GlobalSystem:
     """Assembled sparse mass/stiffness over the free (non-Dirichlet) vector DOFs,
     with the element groups (``groups``, the batches of ``build_element_groups``)
-    retained for loads, interpolation and errors.
+    and their global vector DOFs (``dofs``, one (G, n_total, 2) array of
+    ``DofMap.group_vector_dofs`` per group) retained for loads, interpolation
+    and errors.
 
     Free vector DOFs are ordered [x-free | y-free], and both components keep the
     same scalar DOFs, so the vector mass is ``blockdiag(scalar_mass,
@@ -123,11 +125,12 @@ class GlobalSystem:
     explicit read, by neither path."""
 
     def __init__(self, mesh: PolygonalMesh, dofmap: DofMap, groups: list[ElementGroup],
-                 scalar_mass: sp.csr_matrix, stiffness: sp.csr_matrix,
-                 free: np.ndarray):
+                 dofs: list[np.ndarray], scalar_mass: sp.csr_matrix,
+                 stiffness: sp.csr_matrix, free: np.ndarray):
         self.mesh = mesh
         self.dofmap = dofmap
         self.groups = groups
+        self.dofs = dofs
         self.scalar_mass = scalar_mass
         self.stiffness = stiffness
         self.free = free
@@ -205,12 +208,12 @@ def assemble_global(mesh: PolygonalMesh, degree: int, material: Material, *,
     else:
         free_scalar = np.arange(n_s)
     free = np.concatenate([free_scalar, free_scalar + n_s])
-    sdofs = [dofmap.group_scalar_dofs(group.cells) for group in groups]
-    stiff = _scatter(groups, [np.concatenate([d, d + n_s], axis=1) for d in sdofs],
+    dofs = [dofmap.group_vector_dofs(group.cells) for group in groups]
+    stiff = _scatter(groups, [mT(d).reshape(len(d), -1) for d in dofs],
                      lambda group: local_stiffness(group, material), n, free)
-    mass = _scatter(groups, sdofs, lambda group: local_scalar_mass(group, material),
-                    n_s, free_scalar)
-    return GlobalSystem(mesh, dofmap, groups, mass, stiff, free)
+    mass = _scatter(groups, [d[..., 0] for d in dofs],
+                    lambda group: local_scalar_mass(group, material), n_s, free_scalar)
+    return GlobalSystem(mesh, dofmap, groups, dofs, mass, stiff, free)
 
 
 def interpolate(system: GlobalSystem, field) -> np.ndarray:
@@ -219,13 +222,9 @@ def interpolate(system: GlobalSystem, field) -> np.ndarray:
     ``field(points) -> (n, 2)`` values, called once per point set of each batch
     of ``system.groups``; the result has the Dirichlet DOFs included (use
     system.restrict for the free part)."""
-    dofmap = system.dofmap
-    out = np.zeros(dofmap.n_vector)
-    for group in system.groups:
-        sdofs = dofmap.group_scalar_dofs(group.cells)
-        dofs = group.dof_functionals(field)
-        out[sdofs] = dofs[..., 0]
-        out[sdofs + dofmap.n_scalar] = dofs[..., 1]
+    out = np.zeros(system.dofmap.n_vector)
+    for group, dofs in zip(system.groups, system.dofs):
+        out[dofs] = group.dof_functionals(field)
     return out
 
 
@@ -236,11 +235,8 @@ def assemble_load(system: GlobalSystem, body_force=None, neumann=None,
     The volume term pairs f with the computable degree-k projection Pi0_k phi_i,
     which keeps the L2 convergence at order k + 1.  Each callback is called once
     per batch of ``system.groups`` with all its points."""
-    dofmap = system.dofmap
-    n_s = dofmap.n_scalar
-    full = np.zeros(dofmap.n_vector)
-    for group in system.groups:
-        sdofs = dofmap.group_scalar_dofs(group.cells)
+    full = np.zeros(system.dofmap.n_vector)
+    for group, dofs in zip(system.groups, system.dofs):
         if body_force is not None:
             rule = group.rule
             vals = np.asarray(body_force(rule.points.reshape(-1, 2), t)).reshape(
@@ -248,9 +244,7 @@ def assemble_load(system: GlobalSystem, body_force=None, neumann=None,
             wqb = group.basis.eval(rule.points)
             wqb *= rule.weights[..., None]
             b = mT(wqb) @ vals  # int f p_alpha
-            contrib = mT(group.pi_zero) @ b
-            np.add.at(full, sdofs, contrib[..., 0])
-            np.add.at(full, sdofs + n_s, contrib[..., 1])
+            np.add.at(full, dofs, mT(group.pi_zero) @ b)
         if neumann is not None:
             slot, loc = np.nonzero(system.mesh.edge_tags[group.cells.edges] == NEUMANN)
             if len(slot):
@@ -258,6 +252,5 @@ def assemble_load(system: GlobalSystem, body_force=None, neumann=None,
                 pts = edges.points[slot, loc]
                 g = np.asarray(neumann(pts.reshape(-1, 2), t)).reshape(pts.shape)
                 contrib = mT(edges.weights[slot, loc, :, None] * g) @ edges.trace[slot, loc]
-                np.add.at(full, sdofs[slot], contrib[:, 0])
-                np.add.at(full, sdofs[slot] + n_s, contrib[:, 1])
+                np.add.at(full, dofs[slot], mT(contrib))
     return system.restrict(full)

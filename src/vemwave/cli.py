@@ -194,6 +194,8 @@ def _cmd_dispersion(args, out):
 
 def _cmd_cfl(args, out):
     grids = [g for g in args.grids.split(",") if g]
+    if not grids:
+        raise ParameterError("grids", f"grids must name at least one grid (got {args.grids!r})")
     check_degree(args.kmin, "kmin")
     if args.kmin > args.kmax:
         raise ParameterError("kmin", f"kmin must be <= kmax ({args.kmin} > {args.kmax})")

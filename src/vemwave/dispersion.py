@@ -165,12 +165,11 @@ class _BlochPlan:
         if mesh.periodic is None:
             raise ValueError("mesh carries no periodic pairing")
         pairing, n_s, n_v = mesh.periodic, dofmap.n_scalar, mesh.n_vertices
-        edges = slice(dofmap.edge_offset, dofmap.cell_offset)
         master, offset = np.arange(n_s), np.zeros((n_s, 2))
         master[:n_v], offset[:n_v] = pairing.vertex_master, pairing.vertex_offset
-        edge_dofs = master[edges].reshape(mesh.n_edges, dofmap.per_edge)
-        master[edges] = edge_dofs[pairing.edge_master].ravel()
-        offset[edges] = np.repeat(pairing.edge_offset, dofmap.per_edge, axis=0)
+        m = dofmap.edge_moment_dofs(np.arange(mesh.n_edges))
+        master[m] = m[pairing.edge_master]
+        offset[m] = pairing.edge_offset[:, None]
         is_slave = master != np.arange(n_s)
         chained = np.flatnonzero(is_slave & is_slave[master])
         if len(chained):

@@ -96,11 +96,9 @@ def error_norms(system: GlobalSystem, u_full: np.ndarray, exact, exact_gradient,
     The discrete field enters through its computable projections: Pi0_k u_h for the
     L2 norm and (Pi0x, Pi0y) per component for the gradient.  When the exact norm
     is below 1e-14 the absolute errors are returned with relative=False."""
-    dofmap = system.dofmap
     err_l2 = err_h1 = norm_l2 = norm_h1 = 0.0
-    for group in system.groups:
-        sdofs = dofmap.group_scalar_dofs(group.cells)
-        u = np.stack([u_full[sdofs], u_full[sdofs + dofmap.n_scalar]], axis=-1)
+    for group, dofs in zip(system.groups, system.dofs):
+        u = u_full[dofs]
         pts, w = group.rule.points, group.rule.weights
         basis_vals = group.basis.eval(pts)
         uh = basis_vals @ (group.pi_zero @ u)
@@ -181,7 +179,11 @@ def solve_benchmark(system: GlobalSystem, problem: BenchmarkProblem, dt: float,
 
 
 def _checked(values, name: str, check) -> list:
-    """``values`` as a list, each passed through ``check``; none is an error."""
+    """``values`` as a list, each passed through ``check``; none is an error, and
+    so is a string, whose characters are not the values it names."""
+    if isinstance(values, (str, bytes)):
+        raise ParameterError(name, f"{name}s must be a sequence of values, "
+                                   f"not the string {values!r}")
     values = list(values)
     if not values:
         raise ParameterError(name, f"{name} list must not be empty")

@@ -69,7 +69,8 @@ class PolynomialBasis:
             table[..., j] = table[..., j - 1] * scaled
         return table
 
-    def monomial_eval(self, points: np.ndarray) -> np.ndarray:
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        """Values of all basis functions at ``points``; shape (..., npts, dim)."""
         table = self._powers(points)
         px, py = table[..., 0, :], table[..., 1, :]
         vals = np.empty(px.shape[:-1] + (self.dim,))
@@ -77,16 +78,11 @@ class PolynomialBasis:
             # the degree-d monomials x^(d-j) y^j, j = 0..d, written in place
             s = d * (d + 1) // 2
             np.multiply(px[..., d::-1], py[..., :d + 1], out=vals[..., s:s + d + 1])
-        return vals
+        return vals if self.coeffs is None else vals @ self.coeffs
 
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Values of all basis functions at ``points``; shape (..., npts, dim)."""
-        vals = self.monomial_eval(points)
-        if self.coeffs is not None:
-            vals = vals @ self.coeffs
-        return vals
-
-    def monomial_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def eval_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x and y derivatives of all basis functions at ``points``; each of
+        shape (..., npts, dim)."""
         table = self._powers(points)
         px, py = table[..., 0, :], table[..., 1, :]
         h = np.asarray(self.diameter)[..., None, None]
@@ -105,10 +101,6 @@ class PolynomialBasis:
             np.multiply(px[..., d - 1::-1], a[::-1], out=blk)
             blk *= py[..., :d]
             blk /= h
-        return dx, dy
-
-    def eval_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dx, dy = self.monomial_gradient(points)
         if self.coeffs is not None:
             dx = dx @ self.coeffs
             dy = dy @ self.coeffs

@@ -47,9 +47,11 @@ class ScalarDofLayout:
     def n_total(self) -> int:
         return self.n_vertices * (1 + self.moments_per_edge) + self.n_interior
 
-    def edge_dofs(self, local_edge: int) -> np.ndarray:
-        start = self.n_vertices + local_edge * self.moments_per_edge
-        return np.arange(start, start + self.moments_per_edge)
+    def edge_dofs(self, local_edge) -> np.ndarray:
+        """Local DOFs of the moments on ``local_edge``, an int or an array of
+        local edges: shape (..., moments_per_edge)."""
+        start = self.n_vertices + np.asarray(local_edge)[..., None] * self.moments_per_edge
+        return start + np.arange(self.moments_per_edge)
 
     @property
     def interior_dofs(self) -> np.ndarray:
@@ -93,27 +95,37 @@ class DofMap:
     def n_vector(self) -> int:
         return 2 * self.n_scalar
 
+    def edge_moment_dofs(self, edges) -> np.ndarray:
+        """Global scalar DOFs (..., per_edge) of the moments on the mesh edges
+        ``edges``, moment degree ascending."""
+        return (self.edge_offset + np.asarray(edges)[..., None] * self.per_edge
+                + np.arange(self.per_edge))
+
     def group_scalar_dofs(self, cells: CellGroup) -> np.ndarray:
         """Global scalar DOFs (G, n_total) of a group, in local layout order."""
-        g = len(cells.index)
-        edge = (self.edge_offset + cells.edges[..., None] * self.per_edge
-                + np.arange(self.per_edge))
+        edge = self.edge_moment_dofs(cells.edges).reshape(len(cells.index), -1)
         interior = (self.cell_offset + cells.index[:, None] * self.per_cell
                     + np.arange(self.per_cell))
-        return np.concatenate([cells.vertices, edge.reshape(g, -1), interior], axis=1)
+        return np.concatenate([cells.vertices, edge, interior], axis=1)
+
+    def group_vector_dofs(self, cells: CellGroup) -> np.ndarray:
+        """Global vector DOFs (G, n_total, 2) of a group, in local layout order:
+        the x DOFs in ``[..., 0]``, the y DOFs in ``[..., 1]``."""
+        s = self.group_scalar_dofs(cells)
+        return np.stack([s, s + self.n_scalar], axis=-1)
 
     def cell_scalar_dofs(self, ci: int) -> np.ndarray:
         return self.group_scalar_dofs(self.mesh.cell_group([ci]))[0]
 
     def cell_vector_dofs(self, ci: int) -> np.ndarray:
-        s = self.cell_scalar_dofs(ci)
-        return np.concatenate([s, s + self.n_scalar])
+        """The x DOFs of cell ``ci``, then its y DOFs."""
+        return self.group_vector_dofs(self.mesh.cell_group([ci]))[0].T.ravel()
 
     def dirichlet_scalar_dofs(self) -> np.ndarray:
         """Sorted scalar DOFs on Dirichlet edges: their vertices and edge moments."""
         edges = np.flatnonzero(self.mesh.edge_tags == DIRICHLET)
-        moments = self.edge_offset + edges[:, None] * self.per_edge + np.arange(self.per_edge)
-        return np.unique(np.concatenate([self.mesh.edges[edges].ravel(), moments.ravel()]))
+        return np.unique(np.concatenate([self.mesh.edges[edges].ravel(),
+                                         self.edge_moment_dofs(edges).ravel()]))
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +247,7 @@ class ElementGroup:
         weights = unit_weights * self.geometry.edge_lengths[..., None]
 
         g = len(self.cells.index)
-        moments = np.broadcast_to(n + np.arange(n * m).reshape(n, m), (g, n, m))
+        moments = np.broadcast_to(lay.edge_dofs(loc), (g, n, m))
         cols = np.concatenate([start_loc[..., None], end_loc[..., None], moments], axis=2)
         trace = np.zeros((g, n, len(t), lay.n_total))
         trace[np.arange(g)[:, None, None, None], loc[:, None, None],
@@ -301,22 +313,18 @@ class ElementGroup:
                 area * np.eye(self.n_km2)
         self.pi_zero = np.linalg.solve(mass, c)
 
-        bx = mT(on_boundary_km1) @ (normal[..., :1] * weighted_trace)
-        by = mT(on_boundary_km1) @ (normal[..., 1:] * weighted_trace)
-        if self.n_km2:
-            dxm = monomial_derivative_map(self.degree - 1, 0, self.geometry.diameter)
-            dym = monomial_derivative_map(self.degree - 1, 1, self.geometry.diameter)
-            if self.basis.coeffs is not None:
-                c11 = self.basis.coeffs[:, :self.n_km1, :self.n_km1]
-                dxm = dxm @ c11
-                dym = dym @ c11
-            dxm = self._expand_in_interior_basis(dxm)
-            dym = self._expand_in_interior_basis(dym)
-            bx[..., lay.interior_dofs] -= area * mT(dxm)
-            by[..., lay.interior_dofs] -= area * mT(dym)
+        # Pi0 of the derivative along each axis (0: x, 1: y), degree k-1
         mass_km1 = mass[:, :self.n_km1, :self.n_km1]
-        self.pi_zero_x = np.linalg.solve(mass_km1, bx)
-        self.pi_zero_y = np.linalg.solve(mass_km1, by)
+        derivative = []
+        for axis in (0, 1):
+            b = mT(on_boundary_km1) @ (normal[..., axis:axis + 1] * weighted_trace)
+            if self.n_km2:
+                dm = monomial_derivative_map(self.degree - 1, axis, self.geometry.diameter)
+                if self.basis.coeffs is not None:
+                    dm = dm @ self.basis.coeffs[:, :self.n_km1, :self.n_km1]
+                b[..., lay.interior_dofs] -= area * mT(self._expand_in_interior_basis(dm))
+            derivative.append(np.linalg.solve(mass_km1, b))
+        self.pi_zero_x, self.pi_zero_y = derivative
 
     # -- DOF functionals ------------------------------------------------------
 

@@ -39,12 +39,14 @@ _REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 _report_started = False
 
 
-def report(criterion: str, ok: bool, detail: str) -> bool:
+def report(criterion: str, ok: bool, detail: str, timing: str = "") -> bool:
     """Print the criterion verdict and mirror it to acceptance_report.txt, since
-    pytest swallows stdout of passing tests."""
+    pytest swallows stdout of passing tests.  The wall-clock ``timing`` is only
+    printed: the tracked report holds the numbers alone, so a run that moves
+    none of them leaves it unchanged."""
     global _report_started
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} -- {detail}"
-    print(line)
+    print(f"{line}; {timing}" if timing else line)
     mode = "a" if _report_started else "w"
     _report_started = True
     with open(_REPORT_PATH, mode, encoding="ascii") as f:
@@ -68,6 +70,7 @@ TABLE_ROWS = [
 def test_criterion_1_dispersion_table():
     failures = []
     details = []
+    timings = []
     for grid, degree, tol, t_p, t_s in TABLE_ROWS:
         t0 = time.perf_counter()
         matched = []
@@ -84,12 +87,13 @@ def test_criterion_1_dispersion_table():
         ok = len(matched) == 1 and elapsed < 10.0
         line = (f"{grid} k={degree}: conventions matched {matched or 'none'}; "
                 f"scaled gave e_P={measured['scaled'][0]:.4e} (target {t_p:.4e}), "
-                f"e_S={measured['scaled'][1]:.4e} (target {t_s:.4e}); {elapsed:.1f}s")
+                f"e_S={measured['scaled'][1]:.4e} (target {t_s:.4e})")
         details.append(line)
+        timings.append(f"{grid} k={degree} {elapsed:.1f}s")
         if not ok:
-            failures.append(line)
+            failures.append(f"{line}; {elapsed:.1f}s")
     ok = not failures
-    report("1 (dispersion table)", ok, " | ".join(details))
+    report("1 (dispersion table)", ok, " | ".join(details), ", ".join(timings))
     assert ok, "rows outside tolerance:\n" + "\n".join(failures)
 
 
@@ -173,8 +177,7 @@ def test_criterion_6_h_convergence():
     if elapsed >= 15 * 60:
         failures.append(f"runtime {elapsed:.0f}s exceeds 15 min")
     ok = not failures
-    report("6 (h-convergence rates)", ok,
-           "; ".join(details) + f"; runtime {elapsed:.0f}s")
+    report("6 (h-convergence rates)", ok, "; ".join(details), f"runtime {elapsed:.0f}s")
     assert ok, "\n".join(failures)
 
 

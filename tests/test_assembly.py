@@ -562,6 +562,22 @@ class TestBatchedAssembly:
         assert np.array_equal(np.concatenate(cells),
                               np.concatenate([c.index for c in mesh.cell_groups()]))
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+    def test_system_dofs_are_each_cells_vector_dofs(self, material, family, degree):
+        """``system.dofs`` holds, per batch and slot, the x and y DOFs of that
+        slot's cell, in its local layout order."""
+        mesh = generate_family(family, 0)
+        system = assemble_global(mesh, degree, material)
+        dofmap = system.dofmap
+        assert len(system.dofs) == len(system.groups)
+        for group, dofs in zip(system.groups, system.dofs):
+            assert dofs.shape == (len(group.cells.index), group.layout.n_total, 2)
+            for slot, ci in enumerate(group.cells.index):
+                s = dofmap.cell_scalar_dofs(ci)
+                assert np.array_equal(dofs[slot], np.stack([s, s + dofmap.n_scalar], -1))
+                assert np.array_equal(dofs[slot].T.ravel(), dofmap.cell_vector_dofs(ci))
+
     def test_assembly_peak_memory(self):
         """Traced allocation peak of the 22,822-DOF hexagonal L3 k = 3 assembly:
         106 MB when each vertex-count group was built and scattered at once and
@@ -627,6 +643,37 @@ class TestLoads:
         # total Neumann force = g * |edge| distributed over the trace
         assert abs(f[n:].sum() - 3.0) < 1e-12
         assert abs(f[:n].sum()) < 1e-14
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("family", ["random_quad", "hexagonal", "nonconvex_octagon"])
+    def test_neumann_load_is_the_sum_of_cell_edge_integrals(self, monkeypatch, material,
+                                                            family, degree):
+        """Mixed Neumann/Dirichlet tags over several batches: the load is the sum,
+        over each cell's Neumann edges, of int_E g . phi_i ds on the cell's own
+        edge rule, placed at its vector DOFs."""
+        monkeypatch.setattr(projectors, "_BATCH", 16)
+        mesh = generate_family(family, 1)
+        boundary = mesh.boundary_edges()
+        mid = mesh.vertices[mesh.edges[boundary]].mean(axis=1)
+        mesh.edge_tags[boundary[(mid[:, 0] < 0.5) | (mid[:, 1] > 0.9)]] = NEUMANN
+        system = assemble_global(mesh, degree, material)
+        assert len(system.groups) > len(mesh.cell_groups())
+
+        def g(p, t=0.0):
+            return np.column_stack([np.sin(3 * p[:, 0]) + p[:, 1], p[:, 0] * p[:, 1] - 1])
+
+        expected = np.zeros(system.dofmap.n_vector)
+        for ci in range(mesh.n_cells):
+            ops = ElementOperators(mesh, ci, degree)
+            for loc, edge in enumerate(ops.cells.edges[0]):
+                if mesh.edge_tags[edge] == NEUMANN:
+                    weighted = ops.edges.weights[loc, :, None] * g(ops.edges.points[loc])
+                    expected[system.dofmap.cell_vector_dofs(ci)] += (
+                        weighted.T @ ops.edges.trace[loc]).ravel()
+        got = assemble_load(system, neumann=g)
+        ref = system.restrict(expected)
+        assert np.abs(ref).max() > 0.05
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_interpolate_reproduces_polynomial(self, material):
         mesh = generate_family("hexagonal", 0)

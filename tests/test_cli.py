@@ -35,6 +35,8 @@ _REFUSED = [
     (["dispersion", "--grid", "hexa"], "--grid"),
     (["cfl", "--r", "inf"], "--r"),
     (["cfl", "--grids", "quad,hexa"], "--grids"),
+    (["cfl", "--grids", ""], "--grids"),
+    (["cfl", "--grids", ","], "--grids"),
     (["cfl", "--kmin", "0"], "--kmin"),
     (["anisotropy", "--angles", "4"], "--angles"),
     (["solve", "--dt", "0"], "--dt"),

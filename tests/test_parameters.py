@@ -147,6 +147,17 @@ CASES = [
     pytest.param("basis_kind",
                  lambda: run_p_refinement([1], 1e-3, 0.01, basis_kinds=("monomial", "foo")),
                  id="run_p_refinement-basis_kind"),
+    pytest.param("degree", lambda: run_convergence("hexagonal", "12", [0], 1e-3, 0.01),
+                 id="run_convergence-degrees-str"),
+    pytest.param("level", lambda: run_convergence("hexagonal", [1], "01", 1e-3, 0.01),
+                 id="run_convergence-levels-str"),
+    pytest.param("degree", lambda: run_convergence("hexagonal", b"12", [0], 1e-3, 0.01),
+                 id="run_convergence-degrees-bytes"),
+    pytest.param("degree", lambda: run_p_refinement("12", 1e-3, 0.01),
+                 id="run_p_refinement-degrees-str"),
+    pytest.param("basis_kind",
+                 lambda: run_p_refinement([1], 1e-3, 0.01, basis_kinds="monomial"),
+                 id="run_p_refinement-basis_kinds-str"),
 ]
 
 
@@ -173,6 +184,8 @@ def test_sweeps_check_every_entry_before_any_mesh(monkeypatch):
         run_p_refinement([1, 0], 1e-3, 0.01)
     with pytest.raises(ParameterError, match="basis_kind must be"):
         run_p_refinement([1], 1e-3, 0.01, basis_kinds=("foo",))
+    with pytest.raises(ParameterError, match="basis_kinds .* not the string 'monomial'"):
+        run_p_refinement([1], 1e-3, 0.01, basis_kinds="monomial")
 
 
 def test_numpy_integers_pass_the_integer_checks():

@@ -62,6 +62,28 @@ class TestDofLayout:
         assert dm.n_scalar == expected
         assert dm.n_vector == 2 * expected
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_edge_dofs_of_an_edge_array(self, degree):
+        lay = scalar_layout(degree, 5)
+        rows = lay.edge_dofs(np.arange(5))
+        assert rows.shape == (5, degree - 1)
+        for loc in range(5):
+            assert np.array_equal(rows[loc], lay.edge_dofs(loc))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_edge_moment_dofs_are_the_edge_block(self, hexagonal_mesh, degree):
+        """Mesh edge order, moment degree ascending, between the vertex and the
+        interior DOFs; each group's edge block, read through the local layout."""
+        dofmap = DofMap(hexagonal_mesh, degree)
+        every = dofmap.edge_moment_dofs(np.arange(hexagonal_mesh.n_edges))
+        assert np.array_equal(every.ravel(),
+                              np.arange(hexagonal_mesh.n_vertices, dofmap.cell_offset))
+        for cells in hexagonal_mesh.cell_groups():
+            n = cells.vertices.shape[1]
+            local = scalar_layout(degree, n).edge_dofs(np.arange(n))
+            assert np.array_equal(dofmap.group_scalar_dofs(cells)[:, local],
+                                  dofmap.edge_moment_dofs(cells.edges))
+
     def test_dirichlet_dofs(self):
         mesh = generate_family("random_quad", 0)
         dm = DofMap(mesh, 2)
